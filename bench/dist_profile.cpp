@@ -5,15 +5,14 @@
 /// the coordinator against single-process baselines.
 ///
 /// BFS, components, and betweenness must match the single-process kernels
-/// exactly (betweenness bitwise, against fine mode over the same
-/// sources), and PageRank within 1e-9 per vertex — any violation exits
-/// non-zero, making this the CI gate for the dist subsystem
+/// exactly (betweenness bitwise, against the one-thread fine plan over the
+/// same sources), and PageRank within 1e-9 per vertex — any violation
+/// exits non-zero, making this the CI gate for the dist subsystem
 /// (tools/validate_dist_bench.py checks the emitted rows). stdout carries
 /// one JSON object per line ("bench": "dist_profile"): a partition row
-/// per worker count with cut/balance accounting, one row per (kernel,
-/// workers) with wall time, superstep count, and traffic, and a
-/// bc_overlap row comparing the overlapped exchange engine against the
-/// lockstep baseline at each worker count. Progress goes to stderr.
+/// per worker count with cut/balance accounting, and one row per (kernel,
+/// workers) with wall time, superstep count, and traffic. Progress goes
+/// to stderr.
 ///
 /// Meta records hw_concurrency and worker_threads: on the single-core CI
 /// host every worker count oversubscribes the machine, so dist rows
@@ -126,16 +125,18 @@ int main(int argc, char** argv) {
     const PageRankResult pr_ref = pagerank(GraphView(g));
     const double pr_single = t.seconds();
 
-    // Betweenness baseline: fine mode over the sampled sources — the dist
-    // engine replays exactly this accumulation, so parity is bitwise.
+    // Betweenness baseline: the fine plan (one thread) over the sampled
+    // sources — the dist engine replays exactly this accumulation, so
+    // parity is bitwise.
     BetweennessOptions bc_opts;
     bc_opts.num_sources = cli.has("quick") ? 16 : 64;
-    bc_opts.parallelism = BcParallelism::kFine;
     const std::vector<vid> bc_sources = choose_sources(GraphView(g), bc_opts);
+    set_num_threads(1);
     t.restart();
     const std::vector<double> bc_ref =
         betweenness_centrality(GraphView(g), bc_opts).score;
     const double bc_single = t.seconds();
+    set_num_threads(static_cast<int>(cli.get("threads", std::int64_t{0})));
 
     // hw_concurrency + worker_threads record the host and the per-worker
     // OpenMP team, so downstream checks can flag rows whose worker count
@@ -210,7 +211,6 @@ int main(int argc, char** argv) {
         print_kernel_row(row, meta);
         all_parity = all_parity && row.parity;
       }
-      double bc_overlap_seconds = 0.0;
       {
         KernelRow row;
         row.kernel = "bc";
@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
         t.restart();
         const auto got = coord.betweenness(bc_sources);
         finish_row(row, t.seconds());
-        bc_overlap_seconds = row.seconds;
         row.parity = got.size() == bc_ref.size();
         for (std::size_t v = 0; v < got.size() && v < bc_ref.size(); ++v) {
           if (got[v] != bc_ref[v]) {
@@ -229,26 +228,6 @@ int main(int argc, char** argv) {
         }
         print_kernel_row(row, meta);
         all_parity = all_parity && row.parity;
-      }
-      {
-        // Overlap ablation: the same bc job through the lockstep
-        // send-all-then-receive-in-order engine. On a single-core host the
-        // two are expected to be close (nothing truly runs concurrently);
-        // the row exists so multi-core runs can quantify the overlap win.
-        coord.set_overlap(false);
-        t.restart();
-        const auto got = coord.betweenness(bc_sources);
-        const double lockstep_seconds = t.seconds();
-        coord.set_overlap(true);
-        const bool parity = got == bc_ref;
-        std::printf(
-            "{%s\"row\":\"bc_overlap\",\"workers\":%d,"
-            "\"seconds_overlap\":%.6f,\"seconds_lockstep\":%.6f,"
-            "\"parity\":%s}\n",
-            meta.c_str(), workers, bc_overlap_seconds, lockstep_seconds,
-            json_bool(parity).c_str());
-        std::fflush(stdout);
-        all_parity = all_parity && parity;
       }
 
       std::cerr << "  workers=" << workers << ": done ("

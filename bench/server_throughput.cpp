@@ -164,7 +164,7 @@ int run_classic(std::int64_t scale, int rounds, int workers) {
 std::atomic<std::int64_t> g_bc_budget{1001};
 
 std::string uncached_query() {
-  return "bc 2 auto " + std::to_string(g_bc_budget.fetch_add(1));
+  return "bc 2 " + std::to_string(g_bc_budget.fetch_add(1));
 }
 
 /// Blocking line client speaking the framed v1 protocol.

@@ -182,8 +182,8 @@ int main(int argc, char** argv) {
       all_parity = all_parity && row.parity;
     }
     {
-      // Byte-identical BC scores need one thread: fine-mode accumulation
-      // uses atomic float adds whose order is scheduling-dependent.
+      // Byte-identical BC scores need one thread (the fine plan): a coarse
+      // team's buffer sums depend on which thread ran which source.
       set_num_threads(1);
       const auto row = run_kernel("bc", g, store, [&](const GraphView& view) {
         BetweennessOptions o;

@@ -461,14 +461,17 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
   // compaction, which yields ascending vertex ids for any thread count.
 }
 
-void bc_forward_sweep(const GraphView& g, vid source,
-                      const BcSweepOptions& opts, BfsResult& r,
+void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
                       std::vector<double>& sigma) {
+  // Hybrid switch thresholds (see bfs.hpp for why they differ from plain
+  // BFS's 14/24).
+  constexpr double kAlpha = 28.0;
+  constexpr double kBeta = 24.0;
   const vid n = g.num_vertices();
   GCT_CHECK(source >= 0 && source < n, "bc_forward_sweep: source out of range");
-  GCT_CHECK(!(opts.hybrid && g.directed()),
-            "bc_forward_sweep: hybrid sweep requires an undirected graph "
-            "(bottom-up pulls use out-neighbors as in-neighbors)");
+  GCT_CHECK(!g.directed(),
+            "bc_forward_sweep: requires an undirected graph (sigma pulls use "
+            "out-neighbors as in-neighbors)");
   GCT_CHECK(static_cast<vid>(sigma.size()) >= n,
             "bc_forward_sweep: sigma buffer too small");
 
@@ -496,16 +499,13 @@ void bc_forward_sweep(const GraphView& g, vid source,
   while (hi > lo) {
     ++depth;
 
-    if (opts.hybrid) {
-      const eid remaining_edges = total_entries - frontier_edges;
-      if (!bottom_up &&
-          static_cast<double>(frontier_edges) >
-              static_cast<double>(remaining_edges) / opts.alpha) {
-        bottom_up = true;
-      } else if (bottom_up && static_cast<double>(hi - lo) <
-                                  static_cast<double>(n) / opts.beta) {
-        bottom_up = false;
-      }
+    const eid remaining_edges = total_entries - frontier_edges;
+    if (!bottom_up && static_cast<double>(frontier_edges) >
+                          static_cast<double>(remaining_edges) / kAlpha) {
+      bottom_up = true;
+    } else if (bottom_up && static_cast<double>(hi - lo) <
+                                static_cast<double>(n) / kBeta) {
+      bottom_up = false;
     }
 
     eid tail;
@@ -526,8 +526,6 @@ void bc_forward_sweep(const GraphView& g, vid source,
       tail = hi + compact_set_bits(
                       sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
                       sc.block_counts);
-      std::swap(sc.frontier, sc.next);
-      frontier_bitmap_valid = true;
     } else {
       GCT_SPAN("bc.forward_td");
       if (profiling) obs::add_work(hi - lo, frontier_edges);
@@ -539,18 +537,16 @@ void bc_forward_sweep(const GraphView& g, vid source,
                       sc.block_counts);
       pull_sigma_level(g, r.distance, r.order, hi, tail, depth, sigma,
                        sc.queue, nthreads);
-      if (opts.hybrid) {
-        std::swap(sc.frontier, sc.next);
-        frontier_bitmap_valid = true;
-      }
       visited_valid = false;
     }
+    // This level's bits are the next level's frontier.
+    std::swap(sc.frontier, sc.next);
+    frontier_bitmap_valid = true;
 
     lo = hi;
     hi = tail;
-    if (hi > lo) r.level_offsets.push_back(hi);
-
-    if ((opts.hybrid || profiling) && hi > lo) {
+    if (hi > lo) {
+      r.level_offsets.push_back(hi);
       std::int64_t fe = 0;
 #pragma omp parallel for reduction(+ : fe) schedule(static)
       for (eid i = lo; i < hi; ++i) {

@@ -20,8 +20,9 @@
 ///  * kTopDown — the classic frontier-expansion search (what GraphCT ran on
 ///    the XMT).
 ///  * kDirectionOptimizing — switches to bottom-up sweeps when the frontier
-///    is a large fraction of the graph (Beamer-style); an ablation in this
-///    reproduction, undirected graphs only.
+///    is a large fraction of the graph (Beamer-style); undirected graphs
+///    only. Closeness and k-betweenness run it by default, and betweenness
+///    runs its fused sigma variant (bc_forward_sweep).
 
 #include <cstdint>
 #include <vector>
@@ -116,24 +117,6 @@ BfsResult bfs(const GraphView& g, vid source, const BfsOptions& opts = {});
 void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
               BfsResult& result);
 
-/// Options for the Brandes forward sweep (bc_forward_sweep).
-struct BcSweepOptions {
-  /// Direction-optimizing sweep: switch to fused bottom-up levels when the
-  /// frontier's edge count exceeds (unexplored edges)/alpha, back to
-  /// top-down below n/beta frontier vertices. Undirected graphs only (the
-  /// bottom-up pull reads out-neighbors as in-neighbors); callers with a
-  /// directed graph must pass hybrid = false.
-  bool hybrid = true;
-
-  /// Hybrid switch thresholds. The defaults are deliberately more
-  /// conservative than plain BFS's 14/24: a bottom-up sigma level cannot
-  /// stop at the first discovered parent — every shortest-path predecessor
-  /// must be summed — so bottom-up pays full degree per undiscovered vertex
-  /// and only wins on the fattest levels.
-  double alpha = 28.0;
-  double beta = 24.0;
-};
-
 /// Brandes forward sweep: BFS levels and shortest-path counts (sigma) in a
 /// single direction-optimizing pass. This is the front half of betweenness's
 /// accumulate_source, fused so the adjacency is streamed once per level
@@ -153,11 +136,21 @@ struct BcSweepOptions {
 /// any thread count and any hybrid/top-down switch schedule. Levels are
 /// emitted in ascending vertex id by bitmap compaction (no post-sort).
 ///
+/// The sweep goes bottom-up when the frontier's edge count exceeds
+/// (unexplored edges)/28 and back top-down below n/24 frontier vertices —
+/// more conservative than plain BFS's 14/24, because a bottom-up sigma
+/// level cannot stop at the first discovered parent: every shortest-path
+/// predecessor must be summed, so bottom-up pays full degree per
+/// undiscovered vertex and only wins on the fattest levels.
+///
+/// Undirected graphs only: both directions read a vertex's neighbor list as
+/// its in-edges, which on a directed CSR are its out-arcs. Throws on a
+/// directed graph.
+///
 /// `sigma` must have room for n entries; only entries of reached vertices
 /// are written (each exactly once — no pre-clearing needed). `r.parent` is
 /// left empty (Brandes recovers predecessors from distances).
-void bc_forward_sweep(const GraphView& g, vid source,
-                      const BcSweepOptions& opts, BfsResult& r,
+void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
                       std::vector<double>& sigma);
 
 /// Ego network: the subgraph induced by every vertex within `radius` hops

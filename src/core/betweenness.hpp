@@ -11,13 +11,15 @@
 /// §II-A, after Bader et al. 2007). The paper's headline numbers use 256
 /// sampled sources.
 ///
-/// Parallel decomposition mirrors §II-B:
-///  * coarse — independent sources run concurrently, each with O(m+n)
-///    private storage, per-thread score buffers reduced at the end;
+/// Parallel decomposition mirrors §II-B, chosen by plan_betweenness() from
+/// the thread count and the score-memory budget:
+///  * coarse — independent sources run concurrently across a team of
+///    private score buffers, tree-reduced once at the end;
 ///  * fine — one source at a time, with the BFS, path-count, and dependency
-///    sweeps parallel across each level and atomic fetch-and-add the only
-///    synchronization. (On one socket, coarse wins when sources are many;
-///    fine is the XMT-style mode and the ablation point.)
+///    sweeps parallel across each level. Every write is per-vertex
+///    exclusive, so fine scores are bit-identical for any thread count.
+///    It runs at one thread, and whenever the budget cannot hold two
+///    buffers (huge graphs).
 
 #include <cstdint>
 #include <vector>
@@ -26,25 +28,6 @@
 #include "storage/graph_view.hpp"
 
 namespace graphct {
-
-/// How per-source contributions reach the global score array.
-enum class BcParallelism {
-  kCoarse,  ///< parallel over sources, per-thread buffers
-  kFine,    ///< sources serial, level-parallel sweeps with atomics
-  kAuto,    ///< memory-bounded coarse: buffer team sized to the score
-            ///< memory budget, sources in batches with a parallel tree
-            ///< reduction per batch; falls back to kFine when even two
-            ///< buffers exceed the budget
-};
-
-/// Which forward-sweep engine accumulate_source runs.
-enum class BcForwardEngine {
-  kAuto,     ///< hybrid on undirected graphs, top-down on directed
-  kTopDown,  ///< classic push: BFS + sigma fetch-and-add (exact baseline)
-  kHybrid,   ///< fused direction-optimizing sweep (bc_forward_sweep);
-             ///< undirected only — the bottom-up pull reads out-neighbors
-             ///< as in-neighbors
-};
 
 /// How sampled sources are chosen.
 enum class BcSampling {
@@ -66,81 +49,51 @@ struct BetweennessOptions {
   double sample_fraction = -1.0;
 
   std::uint64_t seed = 1;
-  BcParallelism parallelism = BcParallelism::kCoarse;
+
+  /// Directed graphs always sample uniformly (weak components do not bound
+  /// directed reachability).
   BcSampling sampling = BcSampling::kUniform;
-
-  /// Forward-sweep engine. kAuto picks the hybrid sweep whenever the graph
-  /// is undirected; kTopDown forces the push baseline (the ablation point —
-  /// scores are bit-identical between the two, see bc_forward_sweep).
-  BcForwardEngine forward = BcForwardEngine::kAuto;
-
-  /// Hybrid switch thresholds, forwarded to BcSweepOptions. Negative =
-  /// keep the sweep defaults (alpha 28, beta 24).
-  double sweep_alpha = -1.0;
-  double sweep_beta = -1.0;
 
   /// Scale sampled scores by n/num_sources so magnitudes estimate exact BC
   /// (rankings are unaffected; off by default to match GraphCT's raw sums).
   bool rescale = false;
 
-  /// kAuto only: cap on the total bytes of per-thread score buffers the
-  /// coarse engine may hold live at once (default 1 GiB). The buffer team is
-  /// sized to fit (budget / (n * 8) buffers, at most one per thread) and
-  /// sources run in batches of 8 x team so each tree reduction amortizes
-  /// over several sources. When the budget cannot fit two buffers the engine
-  /// falls back to fine-grained mode, whose score memory is O(1) buffers.
+  /// Cap on the bytes of per-thread score buffers held live at once
+  /// (default 1 GiB), and on the 32-bit adjacency copy the backward sweep
+  /// streams. The coarse team is sized to fit; below two buffers the kernel
+  /// runs fine-grained, whose score memory is the result array alone.
   std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
+};
+
+/// Execution plan derived from the vertex count, source count, thread
+/// count, and memory budget — exposed so tests can assert the budget
+/// arithmetic without running a kernel.
+struct BcPlan {
+  int team = 1;                    ///< score buffers; 1 = fine (serial sources)
+  std::uint64_t buffer_bytes = 0;  ///< team * n * sizeof(double); 0 when fine
 };
 
 /// Result of a betweenness run.
 struct BetweennessResult {
-  std::vector<double> score;       ///< per-vertex centrality
-  std::int64_t sources_used = 0;   ///< how many sources were accumulated
-  double seconds = 0.0;            ///< kernel wall time (excludes setup)
-
-  /// Mode the engine actually ran (kAuto resolves to kCoarse or kFine).
-  BcParallelism parallelism_used = BcParallelism::kCoarse;
-  std::int64_t batches = 0;             ///< coarse source batches (0 = fine)
-  std::uint64_t peak_buffer_bytes = 0;  ///< high-water score-buffer memory
-
-  /// Forward engine actually run (kAuto resolves per graph direction).
-  BcForwardEngine forward_used = BcForwardEngine::kTopDown;
+  std::vector<double> score;      ///< per-vertex centrality
+  std::int64_t sources_used = 0;  ///< how many sources were accumulated
+  double seconds = 0.0;           ///< kernel wall time (excludes setup)
+  BcPlan plan;                    ///< the plan the kernel ran
 };
 
-/// Execution plan the coarse/auto engine derives from the vertex count,
-/// source count, thread count, and memory budget — exposed so tests can
-/// assert the budget arithmetic without running a kernel.
-struct BcPlan {
-  BcParallelism mode = BcParallelism::kCoarse;  ///< kCoarse or kFine
-  int team = 1;                    ///< concurrent score buffers (coarse)
-  std::int64_t batch_sources = 0;  ///< sources per batch (coarse)
-  std::int64_t num_batches = 0;
-  std::uint64_t buffer_bytes = 0;  ///< team * n * sizeof(double)
-
-  /// Forward engine (kTopDown or kHybrid, never kAuto after planning).
-  BcForwardEngine forward = BcForwardEngine::kTopDown;
-};
-
-/// Resolve BetweennessOptions::parallelism against a graph size and thread
-/// count. kCoarse and kFine pass through (kCoarse = one batch, one buffer
-/// per thread, budget ignored); kAuto applies the score memory budget.
-/// BcForwardEngine::kAuto resolves to kHybrid on undirected graphs and
-/// kTopDown on directed ones (no in-neighbor CSR to pull from).
+/// team = min(threads, budget / (8n), num_sources); a team below two runs
+/// fine-grained (team 1, no buffers).
 BcPlan plan_betweenness(vid n, std::int64_t num_sources, int threads,
-                        const BetweennessOptions& opts, bool directed = false);
+                        std::uint64_t budget_bytes);
 
-/// Compute (approximate) betweenness centrality of an undirected graph.
-/// Self-loops never lie on shortest paths and are ignored.
+/// Compute (approximate) betweenness centrality. Self-loops never lie on
+/// shortest paths and are ignored. Undirected graphs count each unordered
+/// pair twice (GraphCT's raw sums) and run the fused direction-optimizing
+/// forward sweep; directed graphs follow arc direction (the paper's §I-A
+/// "directed model [that] could model directed flow"), count ordered pairs
+/// once, and run a top-down push forward pass.
 BetweennessResult betweenness_centrality(const GraphView& g,
                                          const BetweennessOptions& opts = {});
-
-/// Directed betweenness centrality: shortest paths follow arc direction
-/// (the paper's §I-A "directed model [that] could model directed flow ...
-/// of future interest"). Pairs (s, t) are ordered, counted once each.
-/// Component-aware sampling falls back to uniform (weak components do not
-/// bound directed reachability).
-BetweennessResult directed_betweenness_centrality(
-    const GraphView& g, const BetweennessOptions& opts = {});
 
 /// Pick the BC source set for the given options — exposed for tests and for
 /// harnesses that must reuse one sample across kernels.

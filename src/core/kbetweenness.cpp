@@ -174,9 +174,9 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
   }
   result.sources_used = static_cast<std::int64_t>(sources.size());
 
-  // Memory-bounded team (same engine as BcParallelism::kAuto): one slot
-  // costs a score buffer plus the two (k+1) x n slack tables and the total
-  // array, so size the team to the budget with a floor of one worker.
+  // Memory-bounded team (as in plan_betweenness): one slot costs a score
+  // buffer plus the two (k+1) x n slack tables and the total array, so size
+  // the team to the budget with a floor of one worker.
   const std::uint64_t slot_bytes =
       static_cast<std::uint64_t>(2 * (opts.k + 1) + 2) *
       static_cast<std::uint64_t>(n) * sizeof(double);
@@ -187,9 +187,6 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
         opts.score_memory_budget_bytes / slot_bytes);
     team = static_cast<int>(std::clamp<std::int64_t>(affordable, 1, nt));
   }
-  const auto num_sources = static_cast<std::int64_t>(sources.size());
-  const std::int64_t batch_sources =
-      std::min<std::int64_t>(num_sources, static_cast<std::int64_t>(team) * 8);
   result.peak_buffer_bytes = static_cast<std::uint64_t>(team) * slot_bytes;
 
   std::vector<std::vector<double>> buffers(
@@ -199,33 +196,31 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
   workspaces.reserve(static_cast<std::size_t>(team));
   for (int t = 0; t < team; ++t) workspaces.emplace_back(opts.k, n);
 
-  for (std::int64_t b0 = 0; b0 < num_sources; b0 += batch_sources) {
-    const std::int64_t b1 = std::min(num_sources, b0 + batch_sources);
-    ++result.batches;
+  {
+    GCT_SPAN("kbc.accumulate");
     {
-      GCT_SPAN("kbc.accumulate");
-      {
-        obs::SuspendCollection pause;  // accounted in bulk below
+      obs::SuspendCollection pause;  // accounted in bulk below
 #pragma omp parallel num_threads(team)
-        {
-          const int t = omp_get_thread_num();
+      {
+        const int t = omp_get_thread_num();
 #pragma omp for schedule(dynamic, 1)
-          for (std::int64_t i = b0; i < b1; ++i) {
-            accumulate_source_kbc(g, sources[static_cast<std::size_t>(i)],
-                                  workspaces[static_cast<std::size_t>(t)],
-                                  buffers[static_cast<std::size_t>(t)]);
-          }
+        for (std::int64_t i = 0; i < result.sources_used; ++i) {
+          accumulate_source_kbc(g, sources[static_cast<std::size_t>(i)],
+                                workspaces[static_cast<std::size_t>(t)],
+                                buffers[static_cast<std::size_t>(t)]);
         }
       }
-      // Each source sweeps the adjacency once per slack value 0..k, forward
-      // and backward (BFS-equivalent TEPS convention for sampled kernels).
-      obs::add_work((b1 - b0) * static_cast<std::int64_t>(n),
-                    (b1 - b0) * 2 * (opts.k + 1) * g.num_adjacency_entries());
     }
+    // Each source sweeps the adjacency once per slack value 0..k, forward
+    // and backward (BFS-equivalent TEPS convention for sampled kernels).
+    obs::add_work(
+        result.sources_used * static_cast<std::int64_t>(n),
+        result.sources_used * 2 * (opts.k + 1) * g.num_adjacency_entries());
+  }
+  {
     GCT_SPAN("kbc.reduce_tree");
     tree_reduce_buffers(
-        buffers, std::span<double>(result.score.data(), result.score.size()),
-        /*clear_buffers=*/b1 < num_sources);
+        buffers, std::span<double>(result.score.data(), result.score.size()));
   }
   result.seconds = scope.seconds();
   return result;

@@ -65,10 +65,10 @@ struct KBetweennessOptions {
 
   /// Cap on the total bytes of per-thread accumulation state (score buffer
   /// plus the (k+1) x n sigma/rho slack tables) held live at once, default
-  /// 1 GiB. The worker team is sized to fit and sources run in batches, each
-  /// ending with a parallel tree reduction — the same memory-bounded engine
-  /// as BcParallelism::kAuto. The team never drops below one worker, so the
-  /// floor is one workspace regardless of budget.
+  /// 1 GiB. The worker team is sized to fit, as betweenness sizes its
+  /// buffer team, and its buffers end in one parallel tree reduction. The
+  /// team never drops below one worker, so the floor is one workspace
+  /// regardless of budget.
   std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
 };
 
@@ -77,7 +77,6 @@ struct KBetweennessResult {
   std::vector<double> score;
   std::int64_t sources_used = 0;
   double seconds = 0.0;
-  std::int64_t batches = 0;             ///< source batches executed
   std::uint64_t peak_buffer_bytes = 0;  ///< high-water accumulation memory
 };
 

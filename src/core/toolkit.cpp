@@ -63,7 +63,6 @@ std::string bc_key(const char* kernel, const BetweennessOptions& o) {
   return std::string(kernel) + "|sources=" + std::to_string(o.num_sources) +
          "|frac=" + std::to_string(o.sample_fraction) +
          "|seed=" + std::to_string(o.seed) +
-         "|par=" + std::to_string(static_cast<int>(o.parallelism)) +
          "|samp=" + std::to_string(static_cast<int>(o.sampling)) +
          "|rescale=" + std::to_string(o.rescale) +
          "|budget=" + std::to_string(o.score_memory_budget_bytes);
@@ -268,20 +267,11 @@ const BetweennessResult& Toolkit::betweenness_dist(
         Timer timer;
         const vid n = view().num_vertices();
         const std::vector<vid> sources = choose_sources(view(), opts);
-        // Source batching bounds how long a gather can lag: reuse the
-        // single-process plan's memory-budget arithmetic at one thread
-        // (fine mode plans batch_sources = 0 = one batch).
-        const BcPlan plan =
-            plan_betweenness(n, static_cast<std::int64_t>(sources.size()),
-                             /*threads=*/1, opts, /*directed=*/false);
+        // The workers replay the fine plan source by source, which is the
+        // default result.plan.
         BetweennessResult result;
-        result.score = coord.betweenness(sources, plan.batch_sources);
+        result.score = coord.betweenness(sources);
         result.sources_used = static_cast<std::int64_t>(sources.size());
-        // Workers accumulate in fine-mode per-source order; the forward
-        // sweep is the top-down push (there is no distributed pull).
-        result.parallelism_used = BcParallelism::kFine;
-        result.forward_used = BcForwardEngine::kTopDown;
-        result.batches = plan.batch_sources > 0 ? plan.num_batches : 0;
         if (opts.rescale && result.sources_used > 0 &&
             result.sources_used < n) {
           // Same multiply as the single-process rescale: bit-neutral.

@@ -174,9 +174,8 @@ class Toolkit {
 
   /// Distributed betweenness: sources are chosen single-process
   /// (choose_sources, so the sample is identical to the single-process
-  /// kernel's) and gather batching reuses the BcPlan memory-budget
-  /// arithmetic at one thread. Scores are bit-identical to the fine-mode
-  /// single-process kernel over the same sources.
+  /// kernel's). Scores are bit-identical to the single-process fine plan
+  /// over the same sources.
   const BetweennessResult& betweenness_dist(dist::Coordinator& coord,
                                             const BetweennessOptions& opts = {});
 

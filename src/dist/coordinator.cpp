@@ -101,22 +101,8 @@ void Coordinator::exchange(
   GCT_CHECK(broadcast || static_cast<int>(payloads.size()) == nw,
             "dist: exchange payload count mismatch");
 
-  if (!overlap_) {
-    // Lockstep: send everything, then drain replies in worker order. Kept
-    // for the overlap ablation (bench/dist_profile --no-overlap rows).
-    for (int w = 0; w < nw; ++w) {
-      send_to(w, type, payloads[broadcast ? 0 : static_cast<std::size_t>(w)],
-              what);
-    }
-    for (int w = 0; w < nw; ++w) {
-      std::string reply = recv_from(w, expect, what);
-      on_reply(w, reply);
-    }
-    return;
-  }
-
-  // Overlapped: queue every request into the per-connection outbox (never
-  // blocks), then poll() all sockets at once — flushing sends and merging
+  // Queue every request into the per-connection outbox (never blocks),
+  // then poll() all sockets at once — flushing sends and merging
   // each reply the moment it completes, so a fast worker's reply is
   // consumed while a slow worker is still computing or receiving.
   for (int w = 0; w < nw; ++w) {
@@ -499,8 +485,7 @@ PageRankResult Coordinator::pagerank(const PageRankOptions& opts) {
   return result;
 }
 
-std::vector<double> Coordinator::betweenness(std::span<const vid> sources,
-                                             std::int64_t batch_sources) {
+std::vector<double> Coordinator::betweenness(std::span<const vid> sources) {
   begin_kernel();
   GCT_CHECK(!directed_,
             "dist bc: distributed betweenness requires an undirected graph");
@@ -541,127 +526,117 @@ std::vector<double> Coordinator::betweenness(std::span<const vid> sources,
               out.begin() + static_cast<std::ptrdiff_t>(off));
   };
 
-  const std::int64_t num_sources = static_cast<std::int64_t>(sources.size());
-  const std::int64_t batch =
-      batch_sources > 0 ? batch_sources : num_sources;
-  for (std::int64_t b0 = 0; b0 < num_sources; b0 += batch) {
-    const std::int64_t b1 = std::min(b0 + batch, num_sources);
-    for (std::int64_t si = b0; si < b1; ++si) {
-      const vid source = sources[static_cast<std::size_t>(si)];
-      std::fill(dist.begin(), dist.end(), kNoVertex);
-      dist[static_cast<std::size_t>(source)] = 0;
-      levels.clear();
-      levels.push_back({source});
-      sigma_prev.assign(1, 1.0);
-      {
-        WireWriter msg;
-        msg.i64(source);
-        exchange(Msg::kBcSource, {msg.take()}, Msg::kAck, "bc", noop);
-        ++steps;
-      }
-
-      // Forward: per level, (A) broadcast sigma of the settled frontier
-      // and collect next-level candidates, (B) broadcast the merged
-      // frontier and collect its sigma slices. The loop's final kBcForward
-      // (empty candidates) has already scattered the deepest sigma, so
-      // the backward sweep needs no extra priming round.
-      {
-        GCT_SPAN("dist.bc.forward");
-        for (std::int64_t d = 1;; ++d) {
-          Timer step_timer;
-          std::vector<vid> next;
-          {
-            GCT_SPAN("dist.bc.exchange");
-            WireWriter msg;
-            msg.u64(static_cast<std::uint64_t>(d));
-            msg.f64_span(sigma_prev);
-            exchange(Msg::kBcForward, {msg.take()}, Msg::kBcCandidates,
-                     "bc.forward", [&](int, std::string& reply) {
-                       WireReader r(reply);
-                       r.i64_vec(candidates);
-                       for (const std::int64_t c : candidates) {
-                         auto& dc = dist[static_cast<std::size_t>(c)];
-                         if (dc == kNoVertex) {
-                           dc = d;
-                           next.push_back(static_cast<vid>(c));
-                         }
-                       }
-                     });
-            ++steps;
-          }
-          if (next.empty()) {
-            step_seconds().observe(step_timer.seconds());
-            break;
-          }
-          std::sort(next.begin(), next.end());
-          values.resize(next.size());
-          {
-            GCT_SPAN("dist.bc.exchange");
-            WireWriter msg;
-            msg.u64(static_cast<std::uint64_t>(d));
-            msg.i64_span(next);
-            exchange(Msg::kBcSigma, {msg.take()}, Msg::kBcSigmaBlock,
-                     "bc.forward", [&](int w, std::string& reply) {
-                       place_slice(next, values, w, "bc.forward", reply);
-                     });
-            ++steps;
-          }
-          obs::add_work(static_cast<std::int64_t>(next.size()), 0);
-          sigma_prev = values;
-          levels.push_back(std::move(next));
-          step_seconds().observe(step_timer.seconds());
-        }
-      }
-
-      // Backward, deepest level first: broadcast the coefficients one
-      // level deeper (empty at the deepest level) and collect this
-      // level's coefficient slices. Workers fold dependency deltas into
-      // their owned score blocks as they go.
-      {
-        GCT_SPAN("dist.bc.backward");
-        std::vector<double> coef_below;
-        for (std::int64_t d = static_cast<std::int64_t>(levels.size()) - 1;
-             d >= 0; --d) {
-          Timer step_timer;
-          const std::vector<vid>& f = levels[static_cast<std::size_t>(d)];
-          values.resize(f.size());
-          {
-            GCT_SPAN("dist.bc.exchange");
-            WireWriter msg;
-            msg.u64(static_cast<std::uint64_t>(d));
-            msg.f64_span(coef_below);
-            exchange(Msg::kBcBackward, {msg.take()}, Msg::kBcCoefBlock,
-                     "bc.backward", [&](int w, std::string& reply) {
-                       place_slice(f, values, w, "bc.backward", reply);
-                     });
-            ++steps;
-          }
-          coef_below.swap(values);
-          step_seconds().observe(step_timer.seconds());
-        }
-      }
-    }
-
-    // Batch boundary: gather the accumulated owned score blocks. Workers
-    // keep accumulating across batches, so each gather overwrites the
-    // coordinator's copy — the last one is the full sum.
+  for (const vid source : sources) {
+    std::fill(dist.begin(), dist.end(), kNoVertex);
+    dist[static_cast<std::size_t>(source)] = 0;
+    levels.clear();
+    levels.push_back({source});
+    sigma_prev.assign(1, 1.0);
     {
-      GCT_SPAN("dist.bc.gather");
-      exchange(Msg::kBcScores, {std::string()}, Msg::kBcScoreBlock,
-               "bc.gather", [&](int w, std::string& reply) {
-                 WireReader r(reply);
-                 r.f64_vec(block);
-                 const BlockInfo& bi =
-                     partition_.blocks[static_cast<std::size_t>(w)];
-                 if (static_cast<vid>(block.size()) != bi.num_vertices()) {
-                   fail(w, "bc.gather", "score block length mismatch");
-                 }
-                 std::copy(block.begin(), block.end(),
-                           score.begin() +
-                               static_cast<std::ptrdiff_t>(bi.begin));
-               });
+      WireWriter msg;
+      msg.i64(source);
+      exchange(Msg::kBcSource, {msg.take()}, Msg::kAck, "bc", noop);
       ++steps;
     }
+
+    // Forward: per level, (A) broadcast sigma of the settled frontier and
+    // collect next-level candidates, (B) broadcast the merged frontier and
+    // collect its sigma slices. The loop's final kBcForward (empty
+    // candidates) has already scattered the deepest sigma, so the backward
+    // sweep needs no extra priming round.
+    {
+      GCT_SPAN("dist.bc.forward");
+      for (std::int64_t d = 1;; ++d) {
+        Timer step_timer;
+        std::vector<vid> next;
+        {
+          GCT_SPAN("dist.bc.exchange");
+          WireWriter msg;
+          msg.u64(static_cast<std::uint64_t>(d));
+          msg.f64_span(sigma_prev);
+          exchange(Msg::kBcForward, {msg.take()}, Msg::kBcCandidates,
+                   "bc.forward", [&](int, std::string& reply) {
+                     WireReader r(reply);
+                     r.i64_vec(candidates);
+                     for (const std::int64_t c : candidates) {
+                       auto& dc = dist[static_cast<std::size_t>(c)];
+                       if (dc == kNoVertex) {
+                         dc = d;
+                         next.push_back(static_cast<vid>(c));
+                       }
+                     }
+                   });
+          ++steps;
+        }
+        if (next.empty()) {
+          step_seconds().observe(step_timer.seconds());
+          break;
+        }
+        std::sort(next.begin(), next.end());
+        values.resize(next.size());
+        {
+          GCT_SPAN("dist.bc.exchange");
+          WireWriter msg;
+          msg.u64(static_cast<std::uint64_t>(d));
+          msg.i64_span(next);
+          exchange(Msg::kBcSigma, {msg.take()}, Msg::kBcSigmaBlock,
+                   "bc.forward", [&](int w, std::string& reply) {
+                     place_slice(next, values, w, "bc.forward", reply);
+                   });
+          ++steps;
+        }
+        obs::add_work(static_cast<std::int64_t>(next.size()), 0);
+        sigma_prev = values;
+        levels.push_back(std::move(next));
+        step_seconds().observe(step_timer.seconds());
+      }
+    }
+
+    // Backward, deepest level first: broadcast the coefficients one level
+    // deeper (empty at the deepest level) and collect this level's
+    // coefficient slices. Workers fold dependency deltas into their owned
+    // score blocks as they go.
+    {
+      GCT_SPAN("dist.bc.backward");
+      std::vector<double> coef_below;
+      for (std::int64_t d = static_cast<std::int64_t>(levels.size()) - 1;
+           d >= 0; --d) {
+        Timer step_timer;
+        const std::vector<vid>& f = levels[static_cast<std::size_t>(d)];
+        values.resize(f.size());
+        {
+          GCT_SPAN("dist.bc.exchange");
+          WireWriter msg;
+          msg.u64(static_cast<std::uint64_t>(d));
+          msg.f64_span(coef_below);
+          exchange(Msg::kBcBackward, {msg.take()}, Msg::kBcCoefBlock,
+                   "bc.backward", [&](int w, std::string& reply) {
+                     place_slice(f, values, w, "bc.backward", reply);
+                   });
+          ++steps;
+        }
+        coef_below.swap(values);
+        step_seconds().observe(step_timer.seconds());
+      }
+    }
+  }
+
+  // Gather the owned score blocks, each accumulated over every source.
+  {
+    GCT_SPAN("dist.bc.gather");
+    exchange(Msg::kBcScores, {std::string()}, Msg::kBcScoreBlock, "bc.gather",
+             [&](int w, std::string& reply) {
+               WireReader r(reply);
+               r.f64_vec(block);
+               const BlockInfo& bi =
+                   partition_.blocks[static_cast<std::size_t>(w)];
+               if (static_cast<vid>(block.size()) != bi.num_vertices()) {
+                 fail(w, "bc.gather", "score block length mismatch");
+               }
+               std::copy(block.begin(), block.end(),
+                         score.begin() + static_cast<std::ptrdiff_t>(bi.begin));
+             });
+    ++steps;
   }
 
   end_kernel("bc", steps);

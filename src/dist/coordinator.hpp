@@ -33,14 +33,13 @@
 ///     single-process fine-mode betweenness_centrality at any worker or
 ///     worker-thread count.
 ///
-/// Exchanges default to the overlapped engine (set_overlap): requests are
-/// queued into per-connection outboxes and a poll() loop drives every
-/// socket at once, merging each worker's reply the moment it completes —
-/// so one worker's compute overlaps another's transfer, and the
-/// coordinator never blocks on a send (the lockstep deadlock-freedom
-/// argument, strengthened). All merge callbacks are order-independent
-/// (first-assignment + sort, monotone min, or disjoint block copies), so
-/// results are identical to lockstep delivery.
+/// Exchanges are overlapped: requests are queued into per-connection
+/// outboxes and a poll() loop drives every socket at once, merging each
+/// worker's reply the moment it completes — so one worker's compute
+/// overlaps another's transfer, and the coordinator never blocks on a
+/// send. All merge callbacks are order-independent (first-assignment +
+/// sort, monotone min, or disjoint block copies), so results do not depend
+/// on the order replies arrive in.
 ///
 /// ## Failure semantics
 ///
@@ -109,19 +108,10 @@ class Coordinator {
   PageRankResult pagerank(const PageRankOptions& opts = {});
 
   /// Distributed Brandes betweenness from the given sources (undirected
-  /// graphs only). Sources run in coordinator order; `batch_sources` > 0
-  /// gathers the accumulated score blocks after every batch (the caller
-  /// derives it from core's BcPlan memory-budget machinery; 0 = one
-  /// batch). Returns unrescaled scores, bit-identical to single-process
-  /// fine-mode accumulation over the same source list.
-  std::vector<double> betweenness(std::span<const vid> sources,
-                                  std::int64_t batch_sources = 0);
-
-  /// Toggle the overlapped exchange engine (default on). Off = the PR 6
-  /// lockstep send-all-then-receive-in-order loop, kept for the overlap
-  /// ablation in bench/dist_profile.
-  void set_overlap(bool on) { overlap_ = on; }
-  [[nodiscard]] bool overlap() const { return overlap_; }
+  /// graphs only). Sources run in coordinator order and the score blocks
+  /// are gathered once at the end. Returns unrescaled scores, bit-identical
+  /// to the single-process fine plan over the same source list.
+  std::vector<double> betweenness(std::span<const vid> sources);
 
   /// Graceful worker shutdown (kShutdown to every live worker). Called by
   /// the destructor; safe to call repeatedly.
@@ -172,7 +162,6 @@ class Coordinator {
   std::vector<FrameConn> conns_;
   Partition partition_;
   bool loaded_ = false;
-  bool overlap_ = true;
   bool degraded_ = false;
   std::string degraded_reason_;
 

@@ -637,30 +637,16 @@ void Interpreter::execute(const Command& cmd) {
                   ": unknown extract target '" + what + "'");
     }
   } else if (verb == "bc") {
-    // bc <num sources> [fine|coarse|auto] [budget MiB]
+    // bc <num sources> [budget MiB]
     // Plain Brandes betweenness (kcentrality's k=0 fast path) with the
-    // parallelism mode and kAuto score-memory budget exposed.
-    require_arity(cmd, 2, 4);
+    // score-memory budget exposed; the kernel plans from it and the thread
+    // count.
+    require_arity(cmd, 2, 3);
     Toolkit& tk = im.current(cmd.line);
     graphct::BetweennessOptions bo;
     bo.num_sources = parse_i64(cmd.tokens[1], cmd);
-    bo.parallelism = graphct::BcParallelism::kAuto;
     if (cmd.tokens.size() >= 3) {
-      const std::string& mode = cmd.tokens[2];
-      if (mode == "fine") {
-        bo.parallelism = graphct::BcParallelism::kFine;
-      } else if (mode == "coarse") {
-        bo.parallelism = graphct::BcParallelism::kCoarse;
-      } else if (mode == "auto") {
-        bo.parallelism = graphct::BcParallelism::kAuto;
-      } else {
-        throw Error("script line " + std::to_string(cmd.line) +
-                    ": bc mode must be fine, coarse, or auto (got '" + mode +
-                    "')");
-      }
-    }
-    if (cmd.tokens.size() >= 4) {
-      const std::int64_t mib = parse_i64(cmd.tokens[3], cmd);
+      const std::int64_t mib = parse_i64(cmd.tokens[2], cmd);
       if (mib <= 0) {
         throw Error("script line " + std::to_string(cmd.line) +
                     ": bc budget must be a positive MiB count");
@@ -668,15 +654,12 @@ void Interpreter::execute(const Command& cmd) {
       bo.score_memory_budget_bytes = static_cast<std::uint64_t>(mib) << 20;
     }
     // `workers N` routes betweenness through the dist substrate (scores
-    // are defined bit-identical to the single-process fine mode).
+    // are defined bit-identical to the single-process fine plan).
     dist::Coordinator* coord = im.ensure_dist(cmd.line);
     const auto& res =
         coord ? tk.betweenness_dist(*coord, bo) : tk.betweenness(bo);
-    out << "bc sources=" << res.sources_used << " mode="
-        << (res.parallelism_used == graphct::BcParallelism::kFine ? "fine"
-                                                                  : "coarse")
-        << " batches=" << res.batches << ": done in "
-        << graphct::format_duration(res.seconds);
+    out << "bc sources=" << res.sources_used << " team=" << res.plan.team
+        << ": done in " << graphct::format_duration(res.seconds);
     if (coord) out << " [workers=" << coord->num_workers() << "]";
     out << "\n";
     if (cmd.has_redirect()) {

@@ -27,9 +27,9 @@
 ///   extract component <i>    [=> binary graph file]   (1-based, by size)
 ///   + extract kcore <k>      [=> binary graph file]
 ///   kcentrality <k> <num sources>  [=> per-vertex scores]
-///   + bc <num sources> [fine|coarse|auto] [budget MiB]  [=> per-vertex
-///     scores]  (Brandes betweenness; auto is the default and bounds
-///     score-buffer memory to the budget, 1024 MiB unless given)
+///   + bc <num sources> [budget MiB]  [=> per-vertex scores]  (Brandes
+///     betweenness; score-buffer memory stays within the budget, 1024 MiB
+///     unless given)
 ///   + pagerank               [=> per-vertex scores]
 ///   + closeness <num sources> [=> per-vertex scores]
 ///   + communities             [=> per-vertex labels]

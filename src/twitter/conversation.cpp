@@ -105,7 +105,7 @@ std::vector<RankedUser> rank_users_by_betweenness(
 std::vector<RankedUser> rank_users_by_directed_betweenness(
     const MentionGraph& mg, std::int64_t count,
     const graphct::BetweennessOptions& opts) {
-  const auto bc = graphct::directed_betweenness_centrality(mg.directed, opts);
+  const auto bc = graphct::betweenness_centrality(mg.directed, opts);
   return to_ranked(mg, bc.score, count);
 }
 

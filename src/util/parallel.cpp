@@ -150,7 +150,7 @@ void parallel_fill(std::span<double> v, double value) {
 }
 
 void tree_reduce_buffers(std::vector<std::vector<double>>& buffers,
-                         std::span<double> out, bool clear_buffers) {
+                         std::span<double> out) {
   const auto nb = static_cast<std::int64_t>(buffers.size());
   const auto n = static_cast<std::int64_t>(out.size());
   if (nb == 0) return;
@@ -174,11 +174,6 @@ void tree_reduce_buffers(std::vector<std::vector<double>>& buffers,
   for (std::int64_t i = 0; i < n; ++i) {
     out[static_cast<std::size_t>(i)] +=
         buffers[0][static_cast<std::size_t>(i)];
-    if (clear_buffers) {
-      for (std::int64_t b = 0; b < nb; ++b) {
-        buffers[static_cast<std::size_t>(b)][static_cast<std::size_t>(i)] = 0.0;
-      }
-    }
   }
 }
 

@@ -70,10 +70,8 @@ void parallel_fill(std::span<double> v, double value);
 /// out[i] += Σ_b buffers[b][i]. Pairwise stages (log2 B of them), each a
 /// parallel loop over the index range, replacing the sequential per-buffer
 /// reduce that serialized the coarse centrality kernels. The buffers are
-/// consumed: contents are unspecified afterwards unless `clear_buffers` is
-/// set, which re-zeroes every buffer in the final pass so a batched
-/// accumulator can reuse them without a separate fill sweep.
+/// consumed: contents are unspecified afterwards.
 void tree_reduce_buffers(std::vector<std::vector<double>>& buffers,
-                         std::span<double> out, bool clear_buffers = false);
+                         std::span<double> out);
 
 }  // namespace graphct

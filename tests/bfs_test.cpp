@@ -224,6 +224,16 @@ TEST(BfsTest, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(BcForwardSweepTest, DirectedInputThrows) {
+  // The sigma pulls read a vertex's neighbor list as its in-edges; on a
+  // directed CSR those are its out-arcs, which would give wrong path counts
+  // (here sigma(1) would sum sigma(2), a successor).
+  const auto g = testing::make_directed(3, {{0, 1}, {1, 2}});
+  BfsResult r;
+  std::vector<double> sigma(3, 0.0);
+  EXPECT_THROW(bc_forward_sweep(g, 0, r, sigma), Error);
+}
+
 // Property sweep: top-down and direction-optimizing must both match the
 // serial reference on random graphs of assorted shapes.
 class BfsPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -89,7 +89,7 @@ TEST(DegenerateTest, DirectedDegenerates) {
         make_directed(2, {{0, 1}}), make_directed(3, {})}) {
     const auto scc = strongly_connected_components(g);
     EXPECT_EQ(static_cast<vid>(scc.size()), g.num_vertices());
-    const auto bc = directed_betweenness_centrality(g);
+    const auto bc = betweenness_centrality(g);
     for (double s : bc.score) EXPECT_DOUBLE_EQ(s, 0.0);
     const auto pr = pagerank(g);
     EXPECT_EQ(static_cast<vid>(pr.score.size()), g.num_vertices());

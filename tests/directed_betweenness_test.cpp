@@ -7,6 +7,7 @@
 #include "test_support.hpp"
 #include "twitter/conversation.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace graphct {
 namespace {
@@ -61,7 +62,7 @@ std::vector<double> reference_directed_bc(const CsrGraph& g) {
 TEST(DirectedBcTest, DirectedPath) {
   // 0 -> 1 -> 2 -> 3: vertex 1 lies on (0,2),(0,3); vertex 2 on (0,3),(1,3).
   const auto g = make_directed(4, {{0, 1}, {1, 2}, {2, 3}});
-  const auto r = directed_betweenness_centrality(g);
+  const auto r = betweenness_centrality(g);
   EXPECT_DOUBLE_EQ(r.score[0], 0.0);
   EXPECT_DOUBLE_EQ(r.score[1], 2.0);
   EXPECT_DOUBLE_EQ(r.score[2], 2.0);
@@ -71,30 +72,23 @@ TEST(DirectedBcTest, DirectedPath) {
 TEST(DirectedBcTest, DirectionMatters) {
   // Star with arcs inward: no directed path passes *through* the hub.
   const auto inward = make_directed(4, {{1, 0}, {2, 0}, {3, 0}});
-  const auto rin = directed_betweenness_centrality(inward);
+  const auto rin = betweenness_centrality(inward);
   for (double s : rin.score) EXPECT_DOUBLE_EQ(s, 0.0);
 
   // In-and-out hub: all spoke pairs route through it.
   const auto both = make_directed(
       4, {{1, 0}, {2, 0}, {3, 0}, {0, 1}, {0, 2}, {0, 3}});
-  const auto rb = directed_betweenness_centrality(both);
+  const auto rb = betweenness_centrality(both);
   EXPECT_DOUBLE_EQ(rb.score[0], 6.0);  // 3*2 ordered spoke pairs
 }
 
 TEST(DirectedBcTest, DirectedCycleIsUniform) {
   const auto g = make_directed(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
-  const auto r = directed_betweenness_centrality(g);
+  const auto r = betweenness_centrality(g);
   for (std::size_t v = 1; v < 5; ++v) {
     EXPECT_NEAR(r.score[v], r.score[0], 1e-9);
   }
   EXPECT_GT(r.score[0], 0.0);
-}
-
-TEST(DirectedBcTest, UndirectedInputThrows) {
-  const auto g = make_undirected(3, {{0, 1}});
-  EXPECT_THROW(directed_betweenness_centrality(g), Error);
-  const auto d = make_directed(3, {{0, 1}});
-  EXPECT_THROW(betweenness_centrality(d), Error);
 }
 
 TEST(DirectedBcTest, ComponentAwareFallsBackToUniform) {
@@ -103,7 +97,7 @@ TEST(DirectedBcTest, ComponentAwareFallsBackToUniform) {
   o.num_sources = 3;
   o.sampling = BcSampling::kComponentAware;
   // Must not throw (weak components are not used for directed sampling).
-  const auto r = directed_betweenness_centrality(g, o);
+  const auto r = betweenness_centrality(g, o);
   EXPECT_EQ(r.sources_used, 3);
 }
 
@@ -113,14 +107,14 @@ TEST(DirectedBcTest, SymmetricDigraphMatchesUndirected) {
   const auto dir = make_directed(
       5, {{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 2}, {3, 4}, {4, 3}});
   const auto und = make_undirected(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  const auto rd = directed_betweenness_centrality(dir);
+  const auto rd = betweenness_centrality(dir);
   const auto ru = betweenness_centrality(und);
   for (std::size_t v = 0; v < 5; ++v) {
     EXPECT_NEAR(rd.score[v], ru.score[v], 1e-9);
   }
 }
 
-TEST(DirectedBcTest, FineCoarseAutoAgree) {
+TEST(DirectedBcTest, FineAndCoarsePlansAgree) {
   Rng rng(31);
   const vid n = 80;
   EdgeList el(n);
@@ -133,20 +127,23 @@ TEST(DirectedBcTest, FineCoarseAutoAgree) {
   const auto g = build_csr(el, b);
 
   BetweennessOptions fine;
-  fine.parallelism = BcParallelism::kFine;
-  BetweennessOptions aut;
-  aut.parallelism = BcParallelism::kAuto;
-  aut.score_memory_budget_bytes = 2000;  // ~3 buffers of 640 B -> batched
-  const auto rc = directed_betweenness_centrality(g);
-  const auto rf = directed_betweenness_centrality(g, fine);
-  const auto ra = directed_betweenness_centrality(g, aut);
-  ASSERT_EQ(ra.score.size(), rc.score.size());
+  fine.score_memory_budget_bytes = 640;  // one buffer of 640 B -> fine
+  BetweennessOptions small;
+  small.score_memory_budget_bytes = 2000;  // 3 buffers of 640 B
+  set_num_threads(4);
+  const auto rc = betweenness_centrality(g);
+  const auto rf = betweenness_centrality(g, fine);
+  const auto rs = betweenness_centrality(g, small);
+  set_num_threads(0);
+  ASSERT_EQ(rs.score.size(), rc.score.size());
   for (std::size_t v = 0; v < rc.score.size(); ++v) {
-    EXPECT_NEAR(ra.score[v], rc.score[v], 1e-7) << "vertex " << v;
+    EXPECT_NEAR(rs.score[v], rc.score[v], 1e-7) << "vertex " << v;
     EXPECT_NEAR(rf.score[v], rc.score[v], 1e-7) << "vertex " << v;
   }
-  EXPECT_GE(ra.batches, 2);
-  EXPECT_LE(ra.peak_buffer_bytes, aut.score_memory_budget_bytes);
+  EXPECT_EQ(rc.plan.team, 4);
+  EXPECT_EQ(rf.plan.team, 1);
+  EXPECT_EQ(rs.plan.team, 3);
+  EXPECT_LE(rs.plan.buffer_bytes, small.score_memory_budget_bytes);
 }
 
 class DirectedBcPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -164,7 +161,7 @@ TEST_P(DirectedBcPropertyTest, MatchesSerialReference) {
   b.symmetrize = false;
   const auto g = build_csr(el, b);
   const auto expect = reference_directed_bc(g);
-  const auto got = directed_betweenness_centrality(g);
+  const auto got = betweenness_centrality(g);
   ASSERT_EQ(got.score.size(), expect.size());
   for (std::size_t v = 0; v < expect.size(); ++v) {
     EXPECT_NEAR(got.score[v], expect[v], 1e-7) << "vertex " << v;

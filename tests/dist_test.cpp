@@ -18,8 +18,10 @@
 #include "dist/local_worker_set.hpp"
 #include "dist/partition.hpp"
 #include "gen/rmat.hpp"
+#include "gen/shapes.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace graphct::dist {
 namespace {
@@ -277,24 +279,24 @@ TEST(DistParityTest, StatsCountTrafficAndSteps) {
 
 // ------------------------------------------------------------- betweenness
 
-/// Single-process fine-mode reference over the same source list the dist
-/// engine will run — the contract is bit-identical scores.
+/// Single-process reference at one thread (the fine plan) over the same
+/// source list the dist engine will run — the contract is bit-identical
+/// scores.
 std::vector<double> reference_bc(const CsrGraph& g,
                                  const BetweennessOptions& opts,
                                  std::vector<vid>* sources_out = nullptr) {
   const GraphView v(g);
   if (sources_out) *sources_out = choose_sources(v, opts);
-  BetweennessOptions fine = opts;
-  fine.parallelism = BcParallelism::kFine;
-  return betweenness_centrality(v, fine).score;
+  set_num_threads(1);
+  auto score = betweenness_centrality(v, opts).score;
+  set_num_threads(0);
+  return score;
 }
 
 void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
                           int worker_threads,
-                          std::int64_t batch_sources = 0) {
-  BetweennessOptions opts;
-  opts.num_sources = 24;
-  opts.seed = 5;
+                          const BetweennessOptions& opts = {.num_sources = 24,
+                                                            .seed = 5}) {
   std::vector<vid> sources;
   const std::vector<double> expect = reference_bc(g, opts, &sources);
   LocalWorkerSetOptions wopts;
@@ -305,11 +307,11 @@ void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
   Coordinator coord;
   coord.connect(set.ports());
   coord.load_graph(g);
-  const std::vector<double> got = coord.betweenness(sources, batch_sources);
+  const std::vector<double> got = coord.betweenness(sources);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    // Bitwise, not approximate: the dist engine replays the fine-mode
-    // engine's exact add order through the shared 4-lane rows.
+    // Bitwise, not approximate: the dist engine replays the fine plan's
+    // exact add order through the shared 4-lane rows.
     ASSERT_EQ(got[i], expect[i])
         << "bc score diverged at vertex " << i << " (workers=" << workers
         << " fork=" << fork_mode << " threads=" << worker_threads << ")";
@@ -337,41 +339,31 @@ TEST(DistBcTest, BitIdenticalWithMultithreadedWorkers) {
   expect_bc_bit_parity(g, 2, /*fork_mode=*/true, /*worker_threads=*/2);
 }
 
-TEST(DistBcTest, SourceBatchingGathersTheSameScores) {
-  const CsrGraph g = test_rmat(9, false);
-  // Gather after every 5 sources: workers keep accumulating across
-  // batches, so the final gather must still hold the full sum.
-  expect_bc_bit_parity(g, 3, /*fork_mode=*/false, /*worker_threads=*/1,
-                       /*batch_sources=*/5);
-}
-
-TEST(DistBcTest, LockstepExchangeMatchesOverlapped) {
-  const CsrGraph g = test_rmat(9, false);
-  BetweennessOptions opts;
-  opts.num_sources = 12;
-  std::vector<vid> sources;
-  const std::vector<double> expect = reference_bc(g, opts, &sources);
-  with_coordinator(g, 3, [&](Coordinator& c) {
-    ASSERT_TRUE(c.overlap());
-    const auto overlapped = c.betweenness(sources);
-    c.set_overlap(false);
-    const auto lockstep = c.betweenness(sources);
-    c.set_overlap(true);
-    EXPECT_EQ(overlapped, expect);
-    EXPECT_EQ(lockstep, expect);
-  });
+TEST(DistBcTest, BitIdenticalToHybridSweepOnShapes) {
+  // The dist worker pulls sigma top-down only, so it is the independent
+  // reference for the single-process hybrid sweep: a star (one fat level,
+  // bottom-up), a long path (top-down only), two components (a sparse
+  // piece, a dense piece, and unreached vertices with stale sigma), and a
+  // low-diameter R-MAT where bottom-up levels engage mid-search.
+  RmatOptions r;
+  r.scale = 11;
+  r.edge_factor = 16;
+  r.seed = 3;
+  const CsrGraph two_components = make_undirected(
+      13, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {6, 7}, {6, 8}, {6, 9},
+           {7, 8}, {7, 9}, {8, 9}, {9, 10}, {10, 11}, {10, 12}});
+  expect_bc_bit_parity(star_graph(64), 2, false, 1, {});
+  expect_bc_bit_parity(path_graph(200), 2, false, 1, {});
+  expect_bc_bit_parity(two_components, 2, false, 1, {});
+  expect_bc_bit_parity(rmat_graph(r), 2, false, 1,
+                       {.num_sources = 128, .seed = 7});
 }
 
 TEST(DistBcTest, DisconnectedGraphAndIsolatedSources) {
   const CsrGraph g =
       make_undirected(9, {{0, 1}, {1, 2}, {4, 5}, {5, 6}});  // 3,7,8 isolated
-  std::vector<vid> sources(static_cast<std::size_t>(g.num_vertices()));
-  for (vid v = 0; v < g.num_vertices(); ++v) {
-    sources[static_cast<std::size_t>(v)] = v;
-  }
-  BetweennessOptions fine;
-  fine.parallelism = BcParallelism::kFine;
-  const auto expect = betweenness_centrality(GraphView(g), fine).score;
+  std::vector<vid> sources;
+  const auto expect = reference_bc(g, {}, &sources);
   with_coordinator(g, 4, [&](Coordinator& c) {
     EXPECT_EQ(c.betweenness(sources), expect);
   });
@@ -453,10 +445,9 @@ TEST(DistFailureTest, DeadWorkerMidForwardSweepCancelsExactlyThatJob) {
   EXPECT_TRUE(coord.degraded());
   EXPECT_THROW(coord.betweenness(sources), Error);  // fast-fail, no wedge
   // Single-process betweenness on the same graph is untouched.
-  BetweennessOptions fine;
-  fine.parallelism = BcParallelism::kFine;
-  fine.num_sources = 3;
-  EXPECT_EQ(betweenness_centrality(GraphView(g), fine).score.size(),
+  BetweennessOptions three;
+  three.num_sources = 3;
+  EXPECT_EQ(betweenness_centrality(GraphView(g), three).score.size(),
             static_cast<std::size_t>(g.num_vertices()));
   coord.shutdown();
 }
@@ -507,8 +498,9 @@ TEST(DistFailureTest, DegradedBcRunNeverPoisonsCachedResults) {
   Toolkit tk(test_rmat(9, false));
   BetweennessOptions opts;
   opts.num_sources = 8;
-  opts.parallelism = BcParallelism::kFine;
+  set_num_threads(1);  // the fine plan, which the dist engine replays
   const std::vector<double> expect = tk.betweenness(opts).score;
+  set_num_threads(0);
 
   LocalWorkerSetOptions wopts;
   wopts.num_workers = 2;
@@ -520,7 +512,7 @@ TEST(DistFailureTest, DegradedBcRunNeverPoisonsCachedResults) {
   EXPECT_THROW(tk.betweenness_dist(coord, opts), Error);
 
   // The single-process cache entry is intact, and a fresh healthy worker
-  // set computes the dist entry cleanly — bit-identical to fine mode.
+  // set computes the dist entry cleanly — bit-identical to the fine plan.
   EXPECT_EQ(tk.betweenness(opts).score, expect);
   LocalWorkerSetOptions hopts;
   hopts.num_workers = 2;

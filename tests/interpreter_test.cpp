@@ -119,24 +119,26 @@ TEST(InterpreterTest, KcentralityToScreenShowsTopVertices) {
   EXPECT_NE(out.str().find("vertex"), std::string::npos);
 }
 
-TEST(InterpreterTest, BcVerbModesAndBudget) {
+TEST(InterpreterTest, BcVerbBudget) {
   std::ostringstream out;
   Interpreter in(out, fast_opts());
-  in.run("generate rmat 6 4\nbc 16\nbc 16 fine\nbc 16 auto 1\n");
+  in.run("generate rmat 6 4\nthreads 2\nbc 16\nthreads 1\nbc 16 1\n"
+         "threads 0\n");
   const std::string s = out.str();
-  EXPECT_NE(s.find("mode=coarse"), std::string::npos);  // auto resolves
-  EXPECT_NE(s.find("mode=fine"), std::string::npos);
+  EXPECT_NE(s.find("bc sources=16 team=2"), std::string::npos);
+  EXPECT_NE(s.find("bc sources=16 team=1"), std::string::npos);
   EXPECT_NE(s.find("vertex"), std::string::npos);  // top-vertex table
 
-  EXPECT_THROW(in.run("bc 16 lazy\n"), Error);
-  EXPECT_THROW(in.run("bc 16 auto 0\n"), Error);
+  EXPECT_THROW(in.run("bc 16 fine\n"), Error);  // no mode token any more
+  EXPECT_THROW(in.run("bc 16 0\n"), Error);
+  EXPECT_THROW(in.run("bc 16 1 2\n"), Error);
 }
 
 TEST(InterpreterTest, BcVerbToFile) {
   std::ostringstream out;
   Interpreter in(out, fast_opts());
   const std::string scores = temp_path("gct_interp_bc_scores.txt");
-  in.run("generate rmat 6 4\nbc 16 coarse => " + scores + "\n");
+  in.run("generate rmat 6 4\nbc 16 => " + scores + "\n");
   std::ifstream f(scores);
   ASSERT_TRUE(f.good());
   std::int64_t lines = 0;
@@ -653,18 +655,17 @@ TEST(InterpreterTest, WorkersArgumentValidation) {
 
 TEST(InterpreterTest, WorkersRouteBcBitIdentically) {
   // `bc` through 2 two-thread workers must print the same top-vertex lines
-  // as the single-process fine run — the scores are bit-identical, so the
-  // formatted output agrees verbatim.
+  // as the single-process one-thread (fine plan) run — the scores are
+  // bit-identical, so the formatted output agrees verbatim.
   std::ostringstream dist_out;
   {
     Interpreter in(dist_out, fast_opts());
-    in.run("generate rmat 8 4\nworkers 2 threads=2\nbc 16 fine\n"
-           "workers off\n");
+    in.run("generate rmat 8 4\nworkers 2 threads=2\nbc 16\nworkers off\n");
   }
   std::ostringstream single_out;
   {
     Interpreter in(single_out, fast_opts());
-    in.run("generate rmat 8 4\nbc 16 fine\n");
+    in.run("generate rmat 8 4\nthreads 1\nbc 16\nthreads 0\n");
   }
   EXPECT_NE(dist_out.str().find("workers set to 2 (threads mode, 2 threads "
                                 "each)"),

@@ -111,7 +111,7 @@ TEST(KBetweennessTest, SampledSourcesSubsetAndDeterministic) {
   expect_scores_near(a.score, b.score, 0.0);
 }
 
-TEST(KBetweennessTest, TinyBudgetBatchesWithoutChangingScores) {
+TEST(KBetweennessTest, TinyBudgetShrinksTeamWithoutChangingScores) {
   const auto g = erdos_renyi(120, 500, 7);
   KBetweennessOptions o;
   o.k = 1;
@@ -120,15 +120,14 @@ TEST(KBetweennessTest, TinyBudgetBatchesWithoutChangingScores) {
   const auto wide = k_betweenness_centrality(g, o);
 
   // Slot cost for k=1 is (2*(k+1)+2)*n*8 = 5760 bytes; a 6 KiB budget
-  // floors the worker team at one slot, so 40 sources run in >= 2 batches
-  // of 8 while peak buffer memory stays within one slot of the budget.
+  // floors the worker team at one slot, so peak buffer memory stays within
+  // the budget.
   KBetweennessOptions tight = o;
   tight.score_memory_budget_bytes = 6 * 1024;
-  const auto batched = k_betweenness_centrality(g, tight);
-  EXPECT_GE(batched.batches, 2);
-  EXPECT_GT(batched.peak_buffer_bytes, 0u);
-  EXPECT_LE(batched.peak_buffer_bytes, tight.score_memory_budget_bytes);
-  expect_scores_near(batched.score, wide.score, 1e-8);
+  const auto one_slot = k_betweenness_centrality(g, tight);
+  EXPECT_EQ(one_slot.peak_buffer_bytes, 5760u);
+  EXPECT_LE(one_slot.peak_buffer_bytes, tight.score_memory_budget_bytes);
+  expect_scores_near(one_slot.score, wide.score, 1e-8);
 }
 
 TEST(KBetweennessTest, ScoresNonNegative) {

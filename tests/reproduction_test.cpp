@@ -156,7 +156,13 @@ TEST(ReproductionTest, Fig6_TimeScalesWithGraphSize) {
     BetweennessOptions o;
     o.num_sources = 64;
     o.seed = 3;
-    const double secs = std::max(betweenness_centrality(g, o).seconds, 1e-4);
+    // Best of three: the scale-10 run takes ~2 ms, so a single host stall
+    // could otherwise invert the ordering.
+    double secs = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+      secs = std::min(secs, betweenness_centrality(g, o).seconds);
+    }
+    secs = std::max(secs, 1e-4);
     if (prev > 0) {
       const double time_ratio = secs / prev;
       const double edge_ratio = static_cast<double>(g.num_edges()) / prev_edges;

@@ -3,7 +3,7 @@
 
 Usage: validate_dist_bench.py FILE [--workers 1 2 4]
 
-Checks the three row kinds:
+Checks the two row kinds:
 
   * partition (one per worker count): edge_cut_fraction in [0, 1] and 0
     for a single block; imbalance >= 1 (a max/mean ratio);
@@ -11,14 +11,7 @@ Checks the three row kinds:
     true — bfs, components, and bc must match the single-process kernels
     exactly (bc bitwise: max_abs_diff must be 0), pagerank within
     max_abs_diff <= 1e-9 — plus sane accounting (seconds > 0, steps > 0,
-    messages/bytes sent > 0);
-  * bc_overlap (one per worker count): the overlapped exchange engine
-    vs the lockstep baseline on the same bc job — parity must hold and
-    both timings must be positive. Overlap slower than lockstep is a
-    warning, not a failure: on a host where workers oversubscribe
-    hw_concurrency nothing truly runs concurrently, so the two engines
-    are expected to be within noise of each other (see
-    docs/DISTRIBUTED.md).
+    messages/bytes sent > 0).
 
 Rows whose workers * worker_threads exceed the recorded hw_concurrency
 are flagged with a warning on stderr but do not fail validation:
@@ -133,36 +126,9 @@ def main():
                 fail(f"no bytes sent: {r}")
             warn_if_oversubscribed(r, f"kernel {kernel} workers={w}")
 
-    overlap_rows = {need(r, "workers", int): r
-                    for r in rows if r.get("row") == "bc_overlap"}
-    for w in args.workers:
-        r = overlap_rows.get(w)
-        if r is None:
-            fail(f"missing bc_overlap row for workers={w}")
-        if need(r, "parity", bool) is not True:
-            fail(f"lockstep bc diverged from the reference: {r}")
-        so = need(r, "seconds_overlap")
-        sl = need(r, "seconds_lockstep")
-        if so <= 0 or sl <= 0:
-            fail(f"bc_overlap timings must be positive: {r}")
-        if so > sl:
-            if oversubscribed(r) or w < 2:
-                warn(
-                    f"bc_overlap workers={w}: overlap ({so:.6f}s) slower "
-                    f"than lockstep ({sl:.6f}s) — expected noise on an "
-                    f"oversubscribed/single-worker run"
-                )
-            else:
-                warn(
-                    f"bc_overlap workers={w}: overlap ({so:.6f}s) slower "
-                    f"than lockstep ({sl:.6f}s) with spare cores — worth "
-                    f"investigating"
-                )
-
     print(
         f"validate_dist_bench: OK ({len(partitions)} partition rows, "
-        f"{len(kernel_rows)} kernel rows, {len(overlap_rows)} bc_overlap "
-        f"rows, workers {sorted(partitions)})"
+        f"{len(kernel_rows)} kernel rows, workers {sorted(partitions)})"
     )
 
 
