@@ -35,7 +35,7 @@ namespace graphct::dist {
 /// Message types. The numeric values are wire format — append only.
 enum class Msg : std::uint8_t {
   kHello = 1,      ///< coordinator -> worker: protocol handshake
-  kHelloAck = 2,   ///< worker -> coordinator: version + pid
+  kHelloAck = 2,   ///< worker -> coordinator: version, pid, OpenMP threads
   kLoadBlock = 3,  ///< ship one graph slot's block (offsets + adjacency)
   kLoadAck = 4,    ///< block resident; echoes entry count
   kBfsStart = 5,   ///< begin a BFS (resets the proposal bitmap)

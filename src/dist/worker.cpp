@@ -77,6 +77,10 @@ void WorkerServer::release() {
 }
 
 void WorkerServer::serve() {
+  // Library regions reached from a handler without an explicit num_threads
+  // clause (Bitmap::clear(), ...) size their team from this per-thread
+  // setting; without it a 1-thread worker would fork nproc threads.
+  omp_set_num_threads(opts_.threads);
   int cfd = -1;
   for (;;) {
     const int lfd = listen_fd_.load();
@@ -143,6 +147,7 @@ void WorkerServer::handle(Msg type, const std::string& payload,
                     std::to_string(version));
       reply.u64(1);
       reply.u64(static_cast<std::uint64_t>(::getpid()));
+      reply.u64(static_cast<std::uint64_t>(omp_get_max_threads()));
       reply_type = Msg::kHelloAck;
       break;
     }

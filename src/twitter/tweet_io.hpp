@@ -20,14 +20,22 @@ namespace graphct::twitter {
 /// carry no analytic meaning).
 std::string to_tsv(const std::vector<Tweet>& tweets);
 
-/// Parse a TSV tweet stream. Throws graphct::Error on malformed rows
-/// (missing fields, non-numeric id/timestamp).
+/// Parse a TSV tweet stream. Lines end in "\n" or "\r\n" (the last may
+/// lack it); blank lines and lines starting with '#' are skipped. Streams of
+/// 128 KiB and more parse as newline-aligned chunks in parallel, into a
+/// result sized once from a counting pass; the chunk count follows the
+/// stream size and num_threads(), and one thread parses serially. Throws
+/// graphct::Error naming the lowest-numbered malformed line (missing
+/// fields, empty author, or an id/timestamp that is empty, non-numeric, or
+/// outside int64), whichever chunk holds it.
 std::vector<Tweet> parse_tsv(std::string_view text);
 
 /// Write a tweet stream to a file.
 void write_tweets(const std::vector<Tweet>& tweets, const std::string& path);
 
-/// Read a tweet stream from a file.
+/// Read a tweet stream from a file: one read() into a buffer sized by
+/// fstat, then parse_tsv(). The buffer and the returned tweets are the
+/// call's whole footprint.
 std::vector<Tweet> read_tweets(const std::string& path);
 
 }  // namespace graphct::twitter

@@ -17,6 +17,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/local_worker_set.hpp"
 #include "dist/partition.hpp"
+#include "dist/wire.hpp"
 #include "gen/rmat.hpp"
 #include "gen/shapes.hpp"
 #include "test_support.hpp"
@@ -549,6 +550,54 @@ TEST(DistFailureTest, BfsRejectsOutOfRangeSource) {
     EXPECT_THROW(c.bfs_distances(-1), Error);
     EXPECT_THROW(c.bfs_distances(4), Error);
   });
+}
+
+// ------------------------------------------------------- worker threading
+
+/// The OpenMP thread count each worker of `set` reports in its handshake
+/// reply; each worker is then shut down.
+std::vector<std::uint64_t> reported_worker_threads(const LocalWorkerSet& set) {
+  std::vector<std::uint64_t> out;
+  for (const int port : set.ports()) {
+    FrameConn conn = connect_local(port);
+    WireWriter hello;
+    hello.u64(1);  // protocol version
+    conn.send(Msg::kHello, hello.take());
+    Msg type;
+    std::string payload;
+    EXPECT_TRUE(conn.recv(type, payload));
+    EXPECT_EQ(type, Msg::kHelloAck);
+    WireReader r(payload);
+    r.u64();  // protocol version
+    r.u64();  // pid
+    out.push_back(r.u64());
+    conn.send(Msg::kShutdown, "");
+    EXPECT_TRUE(conn.recv(type, payload));
+  }
+  return out;
+}
+
+TEST(DistWorkerTest, WorkersRunAtTheirConfiguredThreadCount) {
+  // A caller running 4 threads must not leak its team size into workers:
+  // library regions a handler reaches without a num_threads clause size
+  // their team from the worker's own setting.
+  set_num_threads(4);
+  struct Case {
+    bool fork_mode;
+    int threads;
+  };
+  for (const Case c : {Case{false, 1}, Case{false, 2}, Case{true, 1}}) {
+    LocalWorkerSetOptions wopts;
+    wopts.num_workers = 2;
+    wopts.fork_mode = c.fork_mode;
+    wopts.threads = c.threads;
+    LocalWorkerSet set(wopts);
+    for (const std::uint64_t t : reported_worker_threads(set)) {
+      EXPECT_EQ(t, static_cast<std::uint64_t>(c.threads))
+          << "fork=" << c.fork_mode;
+    }
+  }
+  set_num_threads(0);
 }
 
 // --------------------------------------------------------------- fork mode

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "twitter/corpus_gen.hpp"
+#include "twitter/datasets.hpp"
+#include "twitter/tweet_io.hpp"
+#include "util/parallel.hpp"
+
 namespace graphct::twitter {
 namespace {
 
@@ -112,6 +117,61 @@ TEST(MentionGraphTest, PaperConversationFigure1) {
   EXPECT_TRUE(g.directed.has_edge(jt, dc));
   EXPECT_TRUE(g.directed.has_edge(dc, jt));
   EXPECT_GE(g.tweets_with_responses, 2);
+}
+
+/// FNV-1a over a mention graph's ids and Table III counters: the users in
+/// id order, the directed CSR, then the counters, integers little-endian.
+std::uint64_t fingerprint(const MentionGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto byte = [&](unsigned char b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  const auto i64 = [&](std::int64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      byte(static_cast<unsigned char>(static_cast<std::uint64_t>(v) >>
+                                      (8 * k)));
+    }
+  };
+  for (const auto& u : g.users) {
+    i64(static_cast<std::int64_t>(u.size()));
+    for (const char c : u) byte(static_cast<unsigned char>(c));
+  }
+  for (const eid o : g.directed.offsets()) i64(o);
+  for (const vid a : g.directed.adjacency()) i64(a);
+  for (const std::int64_t c :
+       {g.num_tweets, g.num_users, g.unique_interactions,
+        g.tweets_with_mentions, g.tweets_with_responses, g.self_references,
+        g.retweets}) {
+    i64(c);
+  }
+  return h;
+}
+
+TEST(MentionGraphTest, IdsMatchFirstOccurrenceOrderOfRecordedBuilds) {
+  // Ids decide which vertices sampled betweenness starts from, so a change
+  // in id order would silently move every downstream result. The constants
+  // were recorded from the unordered_map interner that preceded UserIndex.
+  struct Case {
+    const char* preset;
+    std::int64_t users;
+    std::uint64_t fingerprint;
+  };
+  for (const Case c : {Case{"atlflood", 2369, 0x12b210d344d0f743ULL},
+                       Case{"h1n1", 51651, 0x294ba4b870814b85ULL}}) {
+    const std::string tsv =
+        to_tsv(generate_corpus(dataset_preset(c.preset).corpus));
+    for (const int threads : {1, 2, 4}) {
+      set_num_threads(threads);
+      MentionGraphBuilder b;
+      for (const auto& t : parse_tsv(tsv)) b.add(t);
+      const MentionGraph g = std::move(b).build();
+      EXPECT_EQ(g.num_users, c.users) << c.preset << " threads=" << threads;
+      EXPECT_EQ(fingerprint(g), c.fingerprint)
+          << c.preset << " threads=" << threads;
+    }
+  }
+  set_num_threads(0);
 }
 
 }  // namespace

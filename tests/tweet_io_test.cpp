@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "twitter/corpus_gen.hpp"
 #include "twitter/datasets.hpp"
@@ -49,6 +50,22 @@ TEST(TweetIoTest, MalformedRowsThrow) {
   EXPECT_THROW(parse_tsv("x\t2\ta\tt\n"), graphct::Error);       // bad id
   EXPECT_THROW(parse_tsv("1\tzz\ta\tt\n"), graphct::Error);      // bad ts
   EXPECT_THROW(parse_tsv("1\t2\t\ttext\n"), graphct::Error);     // no author
+  EXPECT_THROW(parse_tsv("9223372036854775808\t2\ta\tt\n"),        // > int64
+               graphct::Error);
+  EXPECT_THROW(parse_tsv("1\t-9223372036854775809\ta\tt\n"),       // < int64
+               graphct::Error);
+}
+
+TEST(TweetIoTest, Int64ExtremesRoundTrip) {
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  const auto parsed =
+      parse_tsv(to_tsv({{lo, "a", "x", hi}, {hi, "b", "y", lo}}));
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].id, lo);
+  EXPECT_EQ(parsed[0].timestamp, hi);
+  EXPECT_EQ(parsed[1].id, hi);
+  EXPECT_EQ(parsed[1].timestamp, lo);
 }
 
 TEST(TweetIoTest, FileRoundTripOfGeneratedCorpus) {
