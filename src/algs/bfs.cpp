@@ -117,11 +117,12 @@ void expand_top_down_bitmap(const GraphView& g, std::vector<vid>& distance,
   }
 }
 
-// Rebuild the visited bitmap from distances. Paid once per top-down →
-// bottom-up switch; consecutive bottom-up levels keep it incrementally.
-void rebuild_visited(Bitmap& visited, const std::vector<vid>& distance) {
-  const auto n = static_cast<std::int64_t>(distance.size());
-  const std::int64_t nw = visited.num_words();
+// Rebuild the visited bitmap of vertices [0, n) from distances. Paid once
+// per top-down → bottom-up switch; consecutive bottom-up levels keep it
+// incrementally.
+void rebuild_visited(Bitmap& visited, const std::vector<vid>& distance,
+                     std::int64_t n) {
+  const std::int64_t nw = Bitmap::word_count(n);
 #pragma omp parallel for schedule(static)
   for (std::int64_t w = 0; w < nw; ++w) {
     const std::int64_t base = w * Bitmap::kBitsPerWord;
@@ -169,7 +170,11 @@ void expand_bottom_up(const GraphView& g, std::vector<vid>& distance,
 // ---------------------------------------------------------------------------
 // Brandes forward-sweep steps (bc_forward_sweep). Level ranges are scheduled
 // through the work-stealing queue instead of per-level `omp parallel for`
-// barriers; tiny levels run inline (see stealing_for).
+// barriers; tiny levels run inline (see stealing_for). `Rows` is what the
+// sweep reads — a GraphView, or a BcLayout with int32 ids — and only
+// vertices below `bound` are ever discovered: all n for a view, the core
+// for a layout, whose leaves betweenness fills in from their parents. (The
+// source itself may be a leaf: it is the root, not a discovery.)
 
 // Vertices per work chunk, and the level size below which a level runs
 // serially inside the calling thread (no region fork, no atomics).
@@ -179,19 +184,27 @@ constexpr std::int64_t kLevelSerialBelow = 512;
 constexpr std::int64_t kWordChunk = 16;
 constexpr std::int64_t kWordSerialBelow = 256;
 
+// Bits of word `w` that hold vertices below `bound`.
+std::uint64_t bound_mask(std::int64_t bound, std::int64_t w) {
+  const std::int64_t rem = bound - w * Bitmap::kBitsPerWord;
+  return rem >= Bitmap::kBitsPerWord ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << rem) - 1;
+}
+
 // Top-down discovery for the sigma sweep. Parallel chunks claim distances by
 // CAS and mark `next` with atomic ORs; a single thread (or a tiny level)
 // takes the plain-write path — same discoveries, no lock-prefixed
 // instructions on the t=1 hot path.
-void expand_top_down_sigma(const GraphView& g, std::vector<vid>& distance,
+template <typename Rows>
+void expand_top_down_sigma(const Rows& g, vid bound, std::vector<vid>& distance,
                            const std::vector<vid>& order, eid lo, eid hi,
                            vid depth, Bitmap& next, WorkQueue& wq,
                            int nthreads) {
   if (nthreads <= 1 || omp_in_parallel() || hi - lo < kLevelSerialBelow) {
     for (eid i = lo; i < hi; ++i) {
       const vid u = order[static_cast<std::size_t>(i)];
-      for (vid v : g.neighbors(u)) {
-        if (distance[static_cast<std::size_t>(v)] == kNoVertex) {
+      for (const vid v : g.neighbors(u)) {
+        if (v < bound && distance[static_cast<std::size_t>(v)] == kNoVertex) {
           distance[static_cast<std::size_t>(v)] = depth;
           next.set(v);
         }
@@ -203,8 +216,9 @@ void expand_top_down_sigma(const GraphView& g, std::vector<vid>& distance,
                [&](std::int64_t b, std::int64_t e) {
                  for (std::int64_t i = b; i < e; ++i) {
                    const vid u = order[static_cast<std::size_t>(i)];
-                   for (vid v : g.neighbors(u)) {
-                     if (distance[static_cast<std::size_t>(v)] != kNoVertex) {
+                   for (const vid v : g.neighbors(u)) {
+                     if (v >= bound ||
+                         distance[static_cast<std::size_t>(v)] != kNoVertex) {
                        continue;
                      }
                      if (compare_and_swap(distance[static_cast<std::size_t>(v)],
@@ -221,7 +235,8 @@ void expand_top_down_sigma(const GraphView& g, std::vector<vid>& distance,
 // Writes are per-vertex exclusive and reads are one level back, so there are
 // no atomics and the sums — being fixed-order — are bit-identical for any
 // thread count.
-void pull_sigma_level(const GraphView& g, const std::vector<vid>& distance,
+template <typename Rows>
+void pull_sigma_level(const Rows& g, const std::vector<vid>& distance,
                       const std::vector<vid>& order, eid lo, eid hi, vid depth,
                       std::vector<double>& sigma, WorkQueue& wq,
                       int nthreads) {
@@ -252,23 +267,26 @@ void pull_sigma_level(const GraphView& g, const std::vector<vid>& distance,
 }
 
 // Fused bottom-up level: discovery and sigma in one adjacency scan. Each
-// undiscovered vertex sums sigma over frontier neighbors; unlike the plain
-// BFS sweep it cannot break at the first hit — every shortest-path
-// predecessor must be counted — and the non-zero sum IS the discovery test
-// (path counts are >= 1). Word-partitioned, so the bit writes and the sigma
-// write are owner-exclusive: no atomics at all. The frontier test and the
-// pull both read sigma of frontier members only, which no thread writes this
-// level. Summation order is adjacency order, identical to the top-down pull.
-void expand_bottom_up_sigma(const GraphView& g, std::vector<vid>& distance,
-                            vid depth, const Bitmap& frontier, Bitmap& visited,
+// undiscovered vertex below `bound` sums sigma over frontier neighbors;
+// unlike the plain BFS sweep it cannot break at the first hit — every
+// shortest-path predecessor must be counted — and the non-zero sum IS the
+// discovery test (path counts are >= 1). Word-partitioned, so the bit
+// writes and the sigma write are owner-exclusive: no atomics at all. The
+// frontier test and the pull both read sigma of frontier members only,
+// which no thread writes this level. Summation order is adjacency order,
+// identical to the top-down pull.
+template <typename Rows>
+void expand_bottom_up_sigma(const Rows& g, vid bound,
+                            std::vector<vid>& distance, vid depth,
+                            const Bitmap& frontier, Bitmap& visited,
                             Bitmap& next, std::vector<double>& sigma,
                             WorkQueue& wq, int nthreads) {
-  const std::int64_t nw = visited.num_words();
+  const std::int64_t nw = Bitmap::word_count(bound);
   stealing_for(
       wq, 0, nw, kWordChunk, kWordSerialBelow, nthreads,
       [&](std::int64_t wb, std::int64_t we) {
         for (std::int64_t w = wb; w < we; ++w) {
-          std::uint64_t todo = ~visited.word(w) & visited.live_mask(w);
+          std::uint64_t todo = ~visited.word(w) & bound_mask(bound, w);
           while (todo != 0) {
             const int bit = std::countr_zero(todo);
             todo &= todo - 1;
@@ -295,6 +313,104 @@ void expand_bottom_up_sigma(const GraphView& g, std::vector<vid>& distance,
           }
         }
       });
+}
+
+// The fused sweep over `g`, discovering vertices below `bound` only; the
+// direction switch sees `bound_entries` (the adjacency entries of those
+// vertices' rows) as the graph's size.
+template <typename Rows>
+void forward_sweep(const Rows& g, vid bound, eid bound_entries, vid source,
+                   BfsResult& r, std::vector<double>& sigma) {
+  // Hybrid switch thresholds (see bfs.hpp for why they differ from plain
+  // BFS's 14/24).
+  constexpr double kAlpha = 28.0;
+  constexpr double kBeta = 24.0;
+  const vid n = g.num_vertices();
+  GCT_CHECK(source >= 0 && source < n, "bc_forward_sweep: source out of range");
+  GCT_CHECK(static_cast<vid>(sigma.size()) >= n,
+            "bc_forward_sweep: sigma buffer too small");
+
+  r.distance.assign(static_cast<std::size_t>(n), kNoVertex);
+  r.parent.clear();
+  r.order.resize(static_cast<std::size_t>(n));
+  r.level_offsets.assign({0, 1});
+  r.distance[static_cast<std::size_t>(source)] = 0;
+  r.order[0] = source;
+  sigma[static_cast<std::size_t>(source)] = 1.0;
+
+  BfsScratch& sc = scratch();
+  sc.ensure_bitmaps(n);
+  const int nthreads = num_threads();
+
+  const bool profiling = obs::profile_active();
+  bool bottom_up = false;
+  bool frontier_bitmap_valid = false;  // sc.frontier holds level [lo,hi)
+  bool visited_valid = false;          // sc.visited matches r.distance
+
+  eid lo = 0, hi = 1;
+  vid depth = 0;
+  eid frontier_edges = g.degree(source);
+  while (hi > lo) {
+    ++depth;
+
+    const eid remaining_edges = bound_entries - frontier_edges;
+    if (!bottom_up && static_cast<double>(frontier_edges) >
+                          static_cast<double>(remaining_edges) / kAlpha) {
+      bottom_up = true;
+    } else if (bottom_up && static_cast<double>(hi - lo) <
+                                static_cast<double>(bound) / kBeta) {
+      bottom_up = false;
+    }
+
+    eid tail;
+    if (bottom_up) {
+      GCT_SPAN("bc.forward_bu");
+      if (profiling) obs::add_work(hi - lo, frontier_edges);
+      if (!visited_valid) {
+        rebuild_visited(sc.visited, r.distance, bound);
+        visited_valid = true;
+      }
+      if (!frontier_bitmap_valid) {
+        sc.frontier.assign_bits(r.order.data() + static_cast<std::ptrdiff_t>(lo),
+                                hi - lo);
+      }
+      sc.next.clear();
+      expand_bottom_up_sigma(g, bound, r.distance, depth, sc.frontier,
+                             sc.visited, sc.next, sigma, sc.queue, nthreads);
+      tail = hi + compact_set_bits(
+                      sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
+                      sc.block_counts);
+    } else {
+      GCT_SPAN("bc.forward_td");
+      if (profiling) obs::add_work(hi - lo, frontier_edges);
+      sc.next.clear();
+      expand_top_down_sigma(g, bound, r.distance, r.order, lo, hi, depth,
+                            sc.next, sc.queue, nthreads);
+      tail = hi + compact_set_bits(
+                      sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
+                      sc.block_counts);
+      pull_sigma_level(g, r.distance, r.order, hi, tail, depth, sigma,
+                       sc.queue, nthreads);
+      visited_valid = false;
+    }
+    // This level's bits are the next level's frontier.
+    std::swap(sc.frontier, sc.next);
+    frontier_bitmap_valid = true;
+
+    lo = hi;
+    hi = tail;
+    if (hi > lo) {
+      r.level_offsets.push_back(hi);
+      std::int64_t fe = 0;
+#pragma omp parallel for reduction(+ : fe) schedule(static)
+      for (eid i = lo; i < hi; ++i) {
+        fe += g.degree(r.order[static_cast<std::size_t>(i)]);
+      }
+      frontier_edges = fe;
+    }
+  }
+
+  r.order.resize(static_cast<std::size_t>(hi));
 }
 
 }  // namespace
@@ -390,7 +506,7 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
       GCT_SPAN("bfs.bottom_up");
       if (profiling) obs::add_work(hi - lo, frontier_edges);
       if (!visited_valid) {
-        rebuild_visited(sc.visited, r.distance);
+        rebuild_visited(sc.visited, r.distance, n);
         visited_valid = true;
       }
       if (!frontier_bitmap_valid) {
@@ -463,100 +579,18 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
 
 void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
                       std::vector<double>& sigma) {
-  // Hybrid switch thresholds (see bfs.hpp for why they differ from plain
-  // BFS's 14/24).
-  constexpr double kAlpha = 28.0;
-  constexpr double kBeta = 24.0;
-  const vid n = g.num_vertices();
-  GCT_CHECK(source >= 0 && source < n, "bc_forward_sweep: source out of range");
   GCT_CHECK(!g.directed(),
             "bc_forward_sweep: requires an undirected graph (sigma pulls use "
             "out-neighbors as in-neighbors)");
-  GCT_CHECK(static_cast<vid>(sigma.size()) >= n,
-            "bc_forward_sweep: sigma buffer too small");
+  forward_sweep(g, g.num_vertices(), g.num_adjacency_entries(), source, r,
+                sigma);
+}
 
-  r.distance.assign(static_cast<std::size_t>(n), kNoVertex);
-  r.parent.clear();
-  r.order.resize(static_cast<std::size_t>(n));
-  r.level_offsets.assign({0, 1});
-  r.distance[static_cast<std::size_t>(source)] = 0;
-  r.order[0] = source;
-  sigma[static_cast<std::size_t>(source)] = 1.0;
-
-  BfsScratch& sc = scratch();
-  sc.ensure_bitmaps(n);
-  const int nthreads = num_threads();
-
-  const eid total_entries = g.num_adjacency_entries();
-  const bool profiling = obs::profile_active();
-  bool bottom_up = false;
-  bool frontier_bitmap_valid = false;  // sc.frontier holds level [lo,hi)
-  bool visited_valid = false;          // sc.visited matches r.distance
-
-  eid lo = 0, hi = 1;
-  vid depth = 0;
-  eid frontier_edges = g.degree(source);
-  while (hi > lo) {
-    ++depth;
-
-    const eid remaining_edges = total_entries - frontier_edges;
-    if (!bottom_up && static_cast<double>(frontier_edges) >
-                          static_cast<double>(remaining_edges) / kAlpha) {
-      bottom_up = true;
-    } else if (bottom_up && static_cast<double>(hi - lo) <
-                                static_cast<double>(n) / kBeta) {
-      bottom_up = false;
-    }
-
-    eid tail;
-    if (bottom_up) {
-      GCT_SPAN("bc.forward_bu");
-      if (profiling) obs::add_work(hi - lo, frontier_edges);
-      if (!visited_valid) {
-        rebuild_visited(sc.visited, r.distance);
-        visited_valid = true;
-      }
-      if (!frontier_bitmap_valid) {
-        sc.frontier.assign_bits(r.order.data() + static_cast<std::ptrdiff_t>(lo),
-                                hi - lo);
-      }
-      sc.next.clear();
-      expand_bottom_up_sigma(g, r.distance, depth, sc.frontier, sc.visited,
-                             sc.next, sigma, sc.queue, nthreads);
-      tail = hi + compact_set_bits(
-                      sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
-                      sc.block_counts);
-    } else {
-      GCT_SPAN("bc.forward_td");
-      if (profiling) obs::add_work(hi - lo, frontier_edges);
-      sc.next.clear();
-      expand_top_down_sigma(g, r.distance, r.order, lo, hi, depth, sc.next,
-                            sc.queue, nthreads);
-      tail = hi + compact_set_bits(
-                      sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
-                      sc.block_counts);
-      pull_sigma_level(g, r.distance, r.order, hi, tail, depth, sigma,
-                       sc.queue, nthreads);
-      visited_valid = false;
-    }
-    // This level's bits are the next level's frontier.
-    std::swap(sc.frontier, sc.next);
-    frontier_bitmap_valid = true;
-
-    lo = hi;
-    hi = tail;
-    if (hi > lo) {
-      r.level_offsets.push_back(hi);
-      std::int64_t fe = 0;
-#pragma omp parallel for reduction(+ : fe) schedule(static)
-      for (eid i = lo; i < hi; ++i) {
-        fe += g.degree(r.order[static_cast<std::size_t>(i)]);
-      }
-      frontier_edges = fe;
-    }
-  }
-
-  r.order.resize(static_cast<std::size_t>(hi));
+void bc_forward_sweep(const BcLayout& g, vid source, BfsResult& r,
+                      std::vector<double>& sigma) {
+  forward_sweep(g, g.num_core,
+                g.offsets[static_cast<std::size_t>(g.num_core)], source, r,
+                sigma);
 }
 
 Subgraph ego_network(const CsrGraph& g, vid center, vid radius) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algs/bc_layout.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/transforms.hpp"
 #include "storage/graph_view.hpp"
@@ -151,6 +152,14 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
 /// are written (each exactly once — no pre-clearing needed). `r.parent` is
 /// left empty (Brandes recovers predecessors from distances).
 void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
+                      std::vector<double>& sigma);
+
+/// The same sweep over an undirected graph's BcLayout (layout ids in and
+/// out). It discovers core vertices only: a leaf is reached only through
+/// its parent, so its distance and sigma follow from the parent's, and
+/// every term it adds to a core vertex's sum is exactly zero. Leaves stay
+/// at kNoVertex, except a leaf source, which is the root.
+void bc_forward_sweep(const BcLayout& g, vid source, BfsResult& r,
                       std::vector<double>& sigma);
 
 /// Ego network: the subgraph induced by every vertex within `radius` hops

@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "algs/bc_accum.hpp"
+#include "algs/bc_layout.hpp"
 #include "algs/bfs.hpp"
 #include "algs/connected_components.hpp"
 #include "obs/trace.hpp"
@@ -90,51 +91,29 @@ void forward_push_directed(const GraphView& g, vid s, BfsResult& b,
   }
 }
 
-/// Narrowed adjacency shared by every source of one betweenness run: vid is
-/// 8 bytes, but the backward sweep streams the whole adjacency array once
-/// per source, so on graphs whose ids fit 32 bits a one-time narrowed copy
-/// halves the dominant stream (and halves the cache pollution that evicts
-/// the per-vertex state between random accesses). Built once per
-/// betweenness call, read-only afterwards; empty when ids would not fit or
-/// the copy would not be worth the memory (see betweenness_impl).
-struct NarrowAdjacency {
-  std::vector<eid> offsets;
-  std::vector<std::int32_t> adj;
-
-  [[nodiscard]] bool active() const { return !offsets.empty(); }
-};
-
 /// One backward dependency sweep, deepest level first, over the packed
 /// distance+coefficient array (already loaded with this source's
 /// distances). `nbrs_of(v)` yields v's neighbor span — int32 from the
-/// narrowed copy or vid from the GraphView — hence the template.
+/// layout or vid from the GraphView — hence the template. The deepest
+/// level scans its rows like any other: a folded layout can hang leaves
+/// below it, and a row with no deeper neighbor sums to exactly +0.0, which
+/// gives coef = 1/sigma and a +0.0 score.
 template <typename NbrFn>
-void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
-                         BcWorkspace& ws, std::vector<double>& score,
-                         const NbrFn& nbrs_of, int nthreads, bool profiling) {
+void backward_sweep_impl(vid s, const BfsResult& b, BcWorkspace& ws,
+                         std::vector<double>& score, const NbrFn& nbrs_of,
+                         int nthreads, bool profiling) {
   const auto& sigma = ws.sigma;
   DistCoef* dc = ws.dc.data();
   const std::int64_t num_levels =
       static_cast<std::int64_t>(b.level_offsets.size()) - 1;
-  {
-    // The deepest level has no deeper neighbors: its dependency sum is
-    // exactly zero, so the scan collapses to the closed form
-    // coef = 1/sigma (and no score contribution).
-    const eid lo = b.level_offsets[static_cast<std::size_t>(num_levels - 1)];
-    const eid hi = b.level_offsets[static_cast<std::size_t>(num_levels)];
-    if (profiling) obs::add_work(hi - lo, 0);
-    for (eid i = lo; i < hi; ++i) {
-      const vid v = b.order[static_cast<std::size_t>(i)];
-      dc[v].coef = 1.0 / sigma[static_cast<std::size_t>(v)];
-    }
-  }
-  for (std::int64_t d = num_levels - 2; d >= 0; --d) {
+  for (std::int64_t d = num_levels - 1; d >= 0; --d) {
     const eid lo = b.level_offsets[static_cast<std::size_t>(d)];
     const eid hi = b.level_offsets[static_cast<std::size_t>(d) + 1];
     if (profiling) {
       std::int64_t fe = 0;
       for (eid i = lo; i < hi; ++i) {
-        fe += g.degree(b.order[static_cast<std::size_t>(i)]);
+        fe += static_cast<std::int64_t>(
+            nbrs_of(b.order[static_cast<std::size_t>(i)]).size());
       }
       obs::add_work(hi - lo, fe);
     }
@@ -167,28 +146,55 @@ void backward_sweep_impl(const GraphView& g, vid s, const BfsResult& b,
 
 void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
                     BcWorkspace& ws, std::vector<double>& score,
-                    const NarrowAdjacency& na, int nthreads, bool profiling) {
-  if (na.active()) {
-    const eid* off = na.offsets.data();
-    const std::int32_t* adj = na.adj.data();
+                    const BcLayout& layout, int nthreads, bool profiling) {
+  if (!layout.offsets.empty()) {
     backward_sweep_impl(
-        g, s, b, ws, score,
-        [off, adj](vid v) {
-          return std::span<const std::int32_t>(
-              adj + off[v], static_cast<std::size_t>(off[v + 1] - off[v]));
-        },
+        s, b, ws, score, [&layout](vid v) { return layout.neighbors(v); },
         nthreads, profiling);
   } else {
     backward_sweep_impl(
-        g, s, b, ws, score, [&g](vid v) { return g.neighbors(v); }, nthreads,
+        s, b, ws, score, [&g](vid v) { return g.neighbors(v); }, nthreads,
         profiling);
+  }
+}
+
+/// The leaf pass of a folded layout: write each reached leaf's backward
+/// state straight from its parent p, as {1/sigma[p], dist[p] + 1}. These
+/// are the exact bits the unfolded sweeps give it, so no score bit moves:
+///  * a leaf that is not the source is reached only through p, so its
+///    distance is dist[p] + 1. It is never a predecessor, and every term it
+///    adds to a sigma or coef sum is sigma * 0.0 or coef * 0.0 = +0.0 (both
+///    are finite and non-negative) — the same term it adds as an
+///    undiscovered vertex of the forward sweep.
+///  * its sigma is the one-term row sum sigma[p]; its backward row has no
+///    deeper neighbor and sums to +0.0. So coef = (1 + sigma * 0) / sigma
+///    = 1/sigma[p], and its score gains +0.0, which leaves it at +0.0.
+///  * a leaf drawn as the source is the forward sweep's root and runs like
+///    any other source; the pass skips it.
+/// The numbering never enters a sum (rows keep their neighbour order), and
+/// top-down and bottom-up levels pull the same sums, so the direction
+/// switch may see the smaller core levels without changing a bit either.
+/// Unreached leaves keep stale (finite) state: only their parent's row
+/// holds them, and an unreached parent's row is never scanned.
+void fold_leaves(const BcLayout& layout, vid s, const BfsResult& b,
+                 BcWorkspace& ws) {
+  const vid n = layout.num_vertices();
+  const auto& dist = b.distance;
+  const auto& sigma = ws.sigma;
+  DistCoef* dc = ws.dc.data();
+  for (vid v = layout.num_core; v < n; ++v) {
+    const vid p = layout.parent(v);
+    const vid dp = dist[static_cast<std::size_t>(p)];
+    if (v == s || dp == kNoVertex) continue;
+    dc[v] = DistCoef{1.0 / sigma[static_cast<std::size_t>(p)], dp + 1};
   }
 }
 
 /// Brandes accumulation from one source into `score`.
 ///
-/// Forward: undirected graphs run bc_forward_sweep (fused direction-
-/// optimizing BFS + pull sigma). Directed graphs take the push pass above.
+/// Forward: a folded layout runs bc_forward_sweep over its core, other
+/// undirected graphs run it over the view (fused direction-optimizing BFS
+/// + pull sigma), and directed graphs take the push pass above.
 ///
 /// Backward: coefficient form. Instead of delta we keep
 /// coef[v] = (1 + delta[v]) / sigma[v], so each vertex does ONE division and
@@ -198,11 +204,13 @@ void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
 /// bit-identical results for any thread count. Levels are scheduled
 /// through the work-stealing queue; inside a coarse team stealing_for
 /// detects the enclosing parallel region and runs inline.
-void accumulate_source(const GraphView& g, vid s, BcWorkspace& ws,
-                       std::vector<double>& score, const NarrowAdjacency& na) {
+void accumulate_source(const GraphView& g, const BcLayout& layout, vid s,
+                       BcWorkspace& ws, std::vector<double>& score) {
   BfsResult& b = ws.bfs_buffer;
   auto& sigma = ws.sigma;
-  if (g.directed()) {
+  if (layout.folded()) {
+    bc_forward_sweep(layout, s, b, sigma);
+  } else if (g.directed()) {
     forward_push_directed(g, s, b, sigma);
   } else {
     bc_forward_sweep(g, s, b, sigma);
@@ -213,18 +221,21 @@ void accumulate_source(const GraphView& g, vid s, BcWorkspace& ws,
 
   GCT_SPAN("bc.backward");
   // Load this source's distances into the packed per-vertex state (one
-  // sequential O(n) pass, cheap next to the O(m) sweep; the coef halves
-  // keep whatever the previous source left — finite, and rewritten before
-  // any vertex reads them because coef[w] is only read from one level up).
+  // sequential pass over the core, cheap next to the O(m) sweep; the coef
+  // halves keep whatever the previous source left — finite, and rewritten
+  // before any vertex reads them because coef[w] is only read from one
+  // level up). A leaf source is the root, so it loads its 0 here too.
   {
-    const vid n = g.num_vertices();
     const auto& dist = b.distance;
     DistCoef* dc = ws.dc.data();
-    for (vid v = 0; v < n; ++v) {
+    const vid core = layout.folded() ? layout.num_core : g.num_vertices();
+    for (vid v = 0; v < core; ++v) {
       dc[v].dist = dist[static_cast<std::size_t>(v)];
     }
+    dc[s].dist = 0;
   }
-  backward_sweep(g, s, b, ws, score, na, nthreads, profiling);
+  if (layout.folded()) fold_leaves(layout, s, b, ws);
+  backward_sweep(g, s, b, ws, score, layout, nthreads, profiling);
 }
 
 std::vector<vid> sample_component_aware(const GraphView& g, std::int64_t k,
@@ -349,30 +360,32 @@ BetweennessResult betweenness_centrality(const GraphView& g,
   result.plan = plan_betweenness(n, result.sources_used, num_threads(),
                                  opts.score_memory_budget_bytes);
 
-  // Narrow the adjacency to 32-bit ids once for the whole run when ids fit
-  // and the copy fits the score-memory budget: the backward sweep streams
-  // the full adjacency array per source, so halving its width halves the
-  // dominant memory traffic of the kernel (and the cache pollution that
-  // keeps evicting the per-vertex state). Skipped for graphs too large to
-  // narrow — the sweep then reads the GraphView directly.
-  NarrowAdjacency na;
+  // One 32-bit layout for the whole call when ids fit and it fits the
+  // score-memory budget (see algs/bc_layout.hpp). Undirected in-memory
+  // graphs get the folded layout both sweeps read; directed graphs (whose
+  // push pass adds in level order, which a renumbering would change) and
+  // packed stores (whose block cache a renumbered read would thrash) keep
+  // their ids and read the copy in the backward sweep only. Without a
+  // layout both sweeps read the view.
+  BcLayout layout;
+  const eid m = g.num_adjacency_entries();
+  const std::uint64_t budget = opts.score_memory_budget_bytes;
+  const bool fold = !g.directed() && !g.store_backed() &&
+                    BcLayout::bytes(n, m, true) <= budget;
   if (n <= std::numeric_limits<std::int32_t>::max() &&
-      static_cast<std::uint64_t>(g.num_adjacency_entries()) *
-              sizeof(std::int32_t) <=
-          opts.score_memory_budget_bytes) {
-    GCT_SPAN("bc.narrow_adjacency");
-    na.offsets.resize(static_cast<std::size_t>(n) + 1);
-    na.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
-    eid pos = 0;
-    for (vid v = 0; v < n; ++v) {
-      na.offsets[static_cast<std::size_t>(v)] = pos;
-      for (vid u : g.neighbors(v)) {
-        na.adj[static_cast<std::size_t>(pos++)] =
-            static_cast<std::int32_t>(u);
-      }
-    }
-    na.offsets[static_cast<std::size_t>(n)] = pos;
+      BcLayout::bytes(n, m, fold) <= budget) {
+    GCT_SPAN("bc.layout");
+    layout = build_bc_layout(g, fold);
   }
+  // Sources run in layout ids, in the order they were drawn (the fine plan
+  // adds each source's dependencies in source order); scores accumulate in
+  // layout ids and map back once at the end.
+  std::vector<double> layout_score;
+  if (layout.folded()) {
+    for (vid& s : sources) s = layout.label[static_cast<std::size_t>(s)];
+    layout_score.assign(static_cast<std::size_t>(n), 0.0);
+  }
+  std::vector<double>& score = layout.folded() ? layout_score : result.score;
 
   const int team = result.plan.team;
   if (team == 1) {
@@ -383,7 +396,7 @@ BetweennessResult betweenness_centrality(const GraphView& g,
     // (this runs on the profiling thread).
     GCT_SPAN("bc.accumulate");
     BcWorkspace ws(n);
-    for (vid s : sources) accumulate_source(g, s, ws, result.score, na);
+    for (vid s : sources) accumulate_source(g, layout, s, ws, score);
   } else {
     // Coarse: one parallel pass over all sources across the buffer team,
     // then one parallel tree reduction into the scores.
@@ -402,9 +415,9 @@ BetweennessResult betweenness_centrality(const GraphView& g,
           const int t = omp_get_thread_num();
 #pragma omp for schedule(dynamic, 1)
           for (std::int64_t i = 0; i < result.sources_used; ++i) {
-            accumulate_source(g, sources[static_cast<std::size_t>(i)],
+            accumulate_source(g, layout, sources[static_cast<std::size_t>(i)],
                               workspaces[static_cast<std::size_t>(t)],
-                              buffers[static_cast<std::size_t>(t)], na);
+                              buffers[static_cast<std::size_t>(t)]);
           }
         }
       }
@@ -414,8 +427,15 @@ BetweennessResult betweenness_centrality(const GraphView& g,
                     result.sources_used * g.num_adjacency_entries());
     }
     GCT_SPAN("bc.reduce_tree");
-    tree_reduce_buffers(
-        buffers, std::span<double>(result.score.data(), result.score.size()));
+    tree_reduce_buffers(buffers, std::span<double>(score.data(), score.size()));
+  }
+  if (layout.folded()) {
+    const auto& label = layout.label;
+    for (vid v = 0; v < n; ++v) {
+      const std::int32_t lv = label[static_cast<std::size_t>(v)];
+      result.score[static_cast<std::size_t>(v)] =
+          score[static_cast<std::size_t>(lv)];
+    }
   }
 
   if (opts.rescale && result.sources_used > 0 &&

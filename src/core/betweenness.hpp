@@ -20,6 +20,11 @@
 ///    exclusive, so fine scores are bit-identical for any thread count.
 ///    It runs at one thread, and whenever the budget cannot hold two
 ///    buffers (huge graphs).
+///
+/// On undirected in-memory graphs both sweeps read a layout that folds the
+/// degree-1 vertices out of the search (algs/bc_layout.hpp): a leaf never
+/// lies on a shortest path between two others, and its state follows from
+/// its neighbour's, bit for bit.
 
 #include <cstdint>
 #include <vector>
@@ -59,9 +64,10 @@ struct BetweennessOptions {
   bool rescale = false;
 
   /// Cap on the bytes of per-thread score buffers held live at once
-  /// (default 1 GiB), and on the 32-bit adjacency copy the backward sweep
-  /// streams. The coarse team is sized to fit; below two buffers the kernel
-  /// runs fine-grained, whose score memory is the result array alone.
+  /// (default 1 GiB), and on the per-call 32-bit layout both sweeps read
+  /// (algs/bc_layout.hpp; without it they read the graph). The coarse team
+  /// is sized to fit; below two buffers the kernel runs fine-grained, whose
+  /// score memory is the result array alone.
   std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
 };
 

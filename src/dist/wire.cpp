@@ -62,6 +62,8 @@ void WireWriter::f64(double v) {
 
 void WireWriter::i64_span(std::span<const std::int64_t> v) {
   u64(v.size());
+  // An empty span's data() may be null, which no copy may be handed.
+  if (v.empty()) return;
   // Little-endian hosts (everything we target) append the array in one
   // memcpy; the per-element path stays as the portable fallback.
   const std::size_t bytes = v.size() * sizeof(std::int64_t);
@@ -74,6 +76,7 @@ void WireWriter::i64_span(std::span<const std::int64_t> v) {
 
 void WireWriter::f64_span(std::span<const double> v) {
   u64(v.size());
+  if (v.empty()) return;
   if constexpr (std::endian::native == std::endian::little) {
     buf_.append(reinterpret_cast<const char*>(v.data()),
                 v.size() * sizeof(double));
@@ -124,6 +127,9 @@ void WireReader::i64_vec(std::vector<std::int64_t>& out) {
   need(n > static_cast<std::uint64_t>(end_ - p_) ? static_cast<std::size_t>(-1)
                                                  : n * sizeof(std::int64_t));
   out.resize(n);
+  // A vector that never allocated has a null data(), which memcpy may not
+  // be handed even for zero bytes.
+  if (n == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data(), p_, n * sizeof(std::int64_t));
     p_ += n * sizeof(std::int64_t);
@@ -137,6 +143,7 @@ void WireReader::f64_vec(std::vector<double>& out) {
   need(n > static_cast<std::uint64_t>(end_ - p_) ? static_cast<std::size_t>(-1)
                                                  : n * sizeof(double));
   out.resize(n);
+  if (n == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data(), p_, n * sizeof(double));
     p_ += n * sizeof(double);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 
 #include "algs/ranking.hpp"
@@ -17,6 +18,7 @@ namespace graphct {
 namespace {
 
 using testing::make_undirected;
+using testing::mention_lwcc;
 using testing::reference_betweenness;
 
 void expect_scores_near(const std::vector<double>& got,
@@ -345,8 +347,9 @@ TEST(BcPlanTest, CoarseModeMatchesAcrossThreadCounts) {
 TEST(BcPlanTest, FineModeBitIdenticalAcrossThreadCounts) {
   // A budget below two buffers keeps the fine plan at every thread count;
   // with no atomic accumulations left its scores must be bit-identical to
-  // the one-thread run. The small budget also skips the 32-bit adjacency
-  // copy, so this pins both backward-sweep index widths to the same bits.
+  // the one-thread run. The small budget also skips the layout, so this
+  // pins the folded int32 layout (one thread) and the unfolded view (two
+  // and eight threads) to the same bits.
   RmatOptions ro;
   ro.scale = 10;
   ro.edge_factor = 16;
@@ -365,6 +368,51 @@ TEST(BcPlanTest, FineModeBitIdenticalAcrossThreadCounts) {
     set_num_threads(0);
     EXPECT_EQ(got.plan.team, 1);
     expect_scores_bitwise_equal(base.score, got.score);
+  }
+  set_num_threads(0);
+}
+
+/// FNV-1a over the bit patterns of a score vector, each double's bytes
+/// little-endian.
+std::uint64_t score_fingerprint(const std::vector<double>& score) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double s : score) {
+    const auto bits = std::bit_cast<std::uint64_t>(s);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(BetweennessTest, OneThreadScoresMatchRecordedBuilds) {
+  // Every other bitwise test compares two runs of the same build, so a
+  // score bit that moved in every run would pass them all. These constants
+  // were recorded from the build before the leaf-folding layout, whose
+  // mention-graph inputs are 51% (atlflood) and 57% (h1n1) leaves.
+  RmatOptions ro;
+  ro.scale = 11;
+  ro.edge_factor = 8;
+  ro.seed = 3;
+  struct Case {
+    const char* name;
+    CsrGraph graph;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {"atlflood", mention_lwcc("atlflood"), 0xdbb199ccaf8f07e1ULL},
+      {"h1n1", mention_lwcc("h1n1"), 0xe70062c74216f606ULL},
+      {"rmat11", rmat_graph(ro), 0xdf136485ab24adc1ULL},
+  };
+  BetweennessOptions o;
+  o.num_sources = 64;
+  o.seed = 1;
+  set_num_threads(1);
+  for (const Case& c : cases) {
+    EXPECT_EQ(score_fingerprint(betweenness_centrality(c.graph, o).score),
+              c.fingerprint)
+        << c.name;
   }
   set_num_threads(0);
 }

@@ -234,6 +234,84 @@ TEST(BcForwardSweepTest, DirectedInputThrows) {
   EXPECT_THROW(bc_forward_sweep(g, 0, r, sigma), Error);
 }
 
+/// 0 is a hub with leaves 2, 3, 4 and a path 0-1-5 to a second hub 5 with
+/// leaves 6, 7; 8-9 is an isolated edge, 10 has only a self-loop and 11 is
+/// isolated. Only 2, 3, 4, 6 and 7 are leaves.
+CsrGraph hub_with_leaves() {
+  return make_undirected(12, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {5, 6},
+                              {5, 7}, {8, 9}, {10, 10}});
+}
+
+TEST(BcLayoutTest, FoldsLeavesAndKeepsEveryRowsOrder) {
+  const CsrGraph g = hub_with_leaves();
+  const BcLayout l = build_bc_layout(g, /*fold=*/true);
+  ASSERT_TRUE(l.folded());
+  ASSERT_EQ(l.num_vertices(), 12);
+  EXPECT_EQ(l.num_core, 7);
+  // The core in BFS order from the highest-degree vertex, then one search
+  // per remaining component; each leaf after the core, where its parent's
+  // row names it.
+  const std::vector<std::int32_t> want{0, 1, 7, 8, 9, 2, 10, 11, 3, 4, 5, 6};
+  EXPECT_EQ(l.label, want);
+  for (vid v = 0; v < g.num_vertices(); ++v) {
+    const auto row = l.neighbors(l.label[static_cast<std::size_t>(v)]);
+    const auto orig = g.neighbors(v);
+    ASSERT_EQ(row.size(), orig.size()) << "vertex " << v;
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      EXPECT_EQ(row[j], l.label[static_cast<std::size_t>(orig[j])])
+          << "vertex " << v << " entry " << j;
+    }
+  }
+  EXPECT_EQ(l.parent(l.label[6]), l.label[5]);
+  EXPECT_EQ(build_bc_layout(make_undirected(0, {}), true).num_vertices(), 0);
+}
+
+TEST(BcLayoutTest, IdentityLayoutCopiesRows) {
+  const CsrGraph g = hub_with_leaves();
+  const BcLayout l = build_bc_layout(g, /*fold=*/false);
+  EXPECT_FALSE(l.folded());
+  EXPECT_EQ(l.num_core, g.num_vertices());
+  EXPECT_EQ(std::vector<eid>(l.offsets.begin(), l.offsets.end()),
+            std::vector<eid>(g.offsets().begin(), g.offsets().end()));
+  EXPECT_EQ(std::vector<vid>(l.adj.begin(), l.adj.end()),
+            std::vector<vid>(g.adjacency().begin(), g.adjacency().end()));
+}
+
+TEST(BcLayoutTest, LeafMissingFromItsParentsRowThrows) {
+  // 3's only entry is 0, but 0's row does not name 3: not a symmetric
+  // undirected graph, so 3 could never be reached through its parent.
+  const CsrGraph g({0, 2, 4, 6, 7}, {1, 2, 0, 2, 0, 1, 0},
+                   /*directed=*/false, /*num_self_loops=*/0,
+                   /*sorted_adjacency=*/true);
+  EXPECT_THROW(build_bc_layout(g, /*fold=*/true), Error);
+}
+
+TEST(BcForwardSweepTest, LayoutSweepDiscoversTheCoreOnly) {
+  // Core vertices get the view's distances and the same sigma bits; leaves
+  // stay undiscovered unless one is the source (7 is a leaf).
+  const CsrGraph g = testing::caterpillar(6, 2);
+  const BcLayout l = build_bc_layout(g, /*fold=*/true);
+  const vid n = g.num_vertices();
+  for (const vid s : {vid{0}, vid{3}, vid{7}}) {
+    BfsResult rv, rl;
+    std::vector<double> sv(static_cast<std::size_t>(n), 0.0), sl = sv;
+    bc_forward_sweep(GraphView(g), s, rv, sv);
+    const vid ls = l.label[static_cast<std::size_t>(s)];
+    bc_forward_sweep(l, ls, rl, sl);
+    for (vid v = 0; v < n; ++v) {
+      const vid lv = l.label[static_cast<std::size_t>(v)];
+      const auto d = rl.distance[static_cast<std::size_t>(lv)];
+      if (lv < l.num_core || lv == ls) {
+        EXPECT_EQ(d, rv.distance[static_cast<std::size_t>(v)]) << v;
+        EXPECT_EQ(sl[static_cast<std::size_t>(lv)],
+                  sv[static_cast<std::size_t>(v)]) << v;
+      } else {
+        EXPECT_EQ(d, kNoVertex) << v;
+      }
+    }
+  }
+}
+
 // Property sweep: top-down and direction-optimizing must both match the
 // serial reference on random graphs of assorted shapes.
 class BfsPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

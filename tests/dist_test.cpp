@@ -27,8 +27,10 @@
 namespace graphct::dist {
 namespace {
 
+using testing::caterpillar;
 using testing::make_directed;
 using testing::make_undirected;
+using testing::mention_lwcc;
 
 CsrGraph test_rmat(std::int64_t scale, bool directed) {
   RmatOptions opts;
@@ -294,17 +296,12 @@ std::vector<double> reference_bc(const CsrGraph& g,
   return score;
 }
 
-void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
-                          int worker_threads,
-                          const BetweennessOptions& opts = {.num_sources = 24,
-                                                            .seed = 5}) {
+/// Dist bc over the workers of `set` must equal the single-process
+/// reference bit for bit.
+void expect_bc_bit_parity_on(const LocalWorkerSet& set, const CsrGraph& g,
+                             const BetweennessOptions& opts) {
   std::vector<vid> sources;
   const std::vector<double> expect = reference_bc(g, opts, &sources);
-  LocalWorkerSetOptions wopts;
-  wopts.num_workers = workers;
-  wopts.fork_mode = fork_mode;
-  wopts.threads = worker_threads;
-  LocalWorkerSet set(wopts);
   Coordinator coord;
   coord.connect(set.ports());
   coord.load_graph(g);
@@ -314,10 +311,22 @@ void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
     // Bitwise, not approximate: the dist engine replays the fine plan's
     // exact add order through the shared 4-lane rows.
     ASSERT_EQ(got[i], expect[i])
-        << "bc score diverged at vertex " << i << " (workers=" << workers
-        << " fork=" << fork_mode << " threads=" << worker_threads << ")";
+        << "bc score diverged at vertex " << i << " (workers="
+        << set.ports().size() << " fork=" << set.fork_mode() << ")";
   }
   coord.shutdown();
+}
+
+void expect_bc_bit_parity(const CsrGraph& g, int workers, bool fork_mode,
+                          int worker_threads,
+                          const BetweennessOptions& opts = {.num_sources = 24,
+                                                            .seed = 5}) {
+  LocalWorkerSetOptions wopts;
+  wopts.num_workers = workers;
+  wopts.fork_mode = fork_mode;
+  wopts.threads = worker_threads;
+  LocalWorkerSet set(wopts);
+  expect_bc_bit_parity_on(set, g, opts);
 }
 
 TEST(DistBcTest, BitIdenticalToFineModeAcrossWorkerCounts) {
@@ -335,9 +344,10 @@ TEST(DistBcTest, BitIdenticalInForkMode) {
 }
 
 TEST(DistBcTest, BitIdenticalWithMultithreadedWorkers) {
+  // The fork-mode half is DistForkFirstTest below: it must fork before
+  // this process runs any OpenMP region.
   const CsrGraph g = test_rmat(10, false);
   expect_bc_bit_parity(g, 2, /*fork_mode=*/false, /*worker_threads=*/2);
-  expect_bc_bit_parity(g, 2, /*fork_mode=*/true, /*worker_threads=*/2);
 }
 
 TEST(DistBcTest, BitIdenticalToHybridSweepOnShapes) {
@@ -345,7 +355,13 @@ TEST(DistBcTest, BitIdenticalToHybridSweepOnShapes) {
   // reference for the single-process hybrid sweep: a star (one fat level,
   // bottom-up), a long path (top-down only), two components (a sparse
   // piece, a dense piece, and unreached vertices with stale sigma), and a
-  // low-diameter R-MAT where bottom-up levels engage mid-search.
+  // low-diameter R-MAT where bottom-up levels engage mid-search. The
+  // worker never folds leaves, so the leaf-heavy inputs pin the
+  // single-process leaf fold too: the atlflood mention graph (51% leaves)
+  // with sampled sources; a caterpillar with every vertex a source, so
+  // leaves are sources too; and a hub with leaves beside an isolated edge,
+  // a vertex whose only entry is a self-loop (both stay core) and an
+  // isolated vertex.
   RmatOptions r;
   r.scale = 11;
   r.edge_factor = 16;
@@ -358,6 +374,13 @@ TEST(DistBcTest, BitIdenticalToHybridSweepOnShapes) {
   expect_bc_bit_parity(two_components, 2, false, 1, {});
   expect_bc_bit_parity(rmat_graph(r), 2, false, 1,
                        {.num_sources = 128, .seed = 7});
+  const CsrGraph hub = make_undirected(
+      12, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {5, 6}, {5, 7}, {8, 9},
+           {10, 10}});
+  expect_bc_bit_parity(mention_lwcc("atlflood"), 2, false, 1,
+                       {.num_sources = 64, .seed = 5});
+  expect_bc_bit_parity(caterpillar(40, 3), 2, false, 1, {});
+  expect_bc_bit_parity(hub, 2, false, 1, {});
 }
 
 TEST(DistBcTest, DisconnectedGraphAndIsolatedSources) {
@@ -617,6 +640,54 @@ TEST(DistForkTest, ForkedWorkersMatchSingleProcess) {
   EXPECT_EQ(coord.bfs_distances(0), bfs(g, 0).distance);
   coord.shutdown();
   workers.stop();  // children exited on kShutdown; reap must not hang
+}
+
+/// Fork-mode workers with OpenMP teams of their own are safe only when
+/// forked before this process runs any OpenMP region
+/// (dist/local_worker_set.hpp). So this test builds its worker set before
+/// anything else, and tests/CMakeLists.txt runs it as its own ctest entry,
+/// filtered out of the main dist_test entry.
+TEST(DistForkFirstTest, BitIdenticalWithMultithreadedForkWorkers) {
+  LocalWorkerSetOptions wopts;
+  wopts.num_workers = 2;
+  wopts.fork_mode = true;
+  wopts.threads = 2;
+  LocalWorkerSet set(wopts);
+  ASSERT_TRUE(set.fork_mode());
+  ASSERT_EQ(set.ports().size(), 2u);
+  expect_bc_bit_parity_on(set, test_rmat(10, false),
+                          {.num_sources = 24, .seed = 5});
+}
+
+// -------------------------------------------------------------------- wire
+
+TEST(WireTest, ArraysRoundTripIncludingEmpty) {
+  // A zero-length array decodes into a vector that never allocated, whose
+  // data() is null: the reader must not pass it to memcpy.
+  const std::vector<std::int64_t> ints{-3, 0, std::int64_t{1} << 40};
+  const std::vector<double> reals{0.5, -0.0, 1e300};
+  WireWriter w;
+  w.i64_span({});
+  w.f64_span({});
+  w.i64_span(ints);
+  w.f64_span(reals);
+  const std::string payload = w.take();
+  WireReader r(payload);
+  std::vector<std::int64_t> empty_ints, got_ints;
+  std::vector<double> empty_reals, got_reals;
+  r.i64_vec(empty_ints);
+  r.f64_vec(empty_reals);
+  r.i64_vec(got_ints);
+  r.f64_vec(got_reals);
+  EXPECT_TRUE(r.done());
+  EXPECT_TRUE(empty_ints.empty());
+  EXPECT_TRUE(empty_reals.empty());
+  EXPECT_EQ(got_ints, ints);
+  ASSERT_EQ(got_reals.size(), reals.size());
+  for (std::size_t i = 0; i < reals.size(); ++i) {
+    EXPECT_EQ(std::signbit(got_reals[i]), std::signbit(reals[i]));
+    EXPECT_EQ(got_reals[i], reals[i]);
+  }
 }
 
 }  // namespace

@@ -477,16 +477,34 @@ TEST_F(StoreKernelParityTest, PageRankIdentical) {
 }
 
 TEST_F(StoreKernelParityTest, BetweennessIdenticalSingleThread) {
-  // Fine-mode BC accumulates with atomic float adds, so byte-identical
-  // scores require one thread (ordering); parity across backends is the
-  // point here, thread-count determinism is bc_confidence_test's job.
+  // One thread runs the fine plan, whose scores are bitwise reproducible;
+  // parity across backends is the point here. DRAM graphs fold their
+  // leaves and stores keep the unfolded path, so the leaf-heavy atlflood
+  // mention graph (51% leaves) pins the fold against the store.
+  const CsrGraph leafy = testing::mention_lwcc("atlflood");
+  TempFile leafy_file("gct_storage_parity_leafy.gctp");
+  PackOptions popts;
+  popts.block_target_bytes = 2048;
+  storage::pack_graph(leafy, leafy_file.path, popts);
+  StoreOptions sopts;
+  sopts.cache_budget_bytes = 16 << 10;
+  ASSERT_LT(sopts.cache_budget_bytes,
+            static_cast<std::uint64_t>(leafy.num_adjacency_entries()) *
+                sizeof(vid));
+  const GraphStore leafy_store(leafy_file.path, sopts);
+
   set_num_threads(1);
   BetweennessOptions opts;
   opts.num_sources = 16;
   const auto mem = betweenness_centrality(g_, opts);
   const auto packed = betweenness_centrality(GraphView(*store_), opts);
+  opts.num_sources = 64;
+  const auto leafy_mem = betweenness_centrality(leafy, opts);
+  const auto leafy_packed =
+      betweenness_centrality(GraphView(leafy_store), opts);
   set_num_threads(0);
   EXPECT_EQ(mem.score, packed.score);
+  EXPECT_EQ(leafy_mem.score, leafy_packed.score);
 }
 
 // ------------------------------------------------- toolkit cross-backend --

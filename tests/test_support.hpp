@@ -9,9 +9,13 @@
 #include <map>
 #include <vector>
 
+#include "algs/connected_components.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/edge_list.hpp"
+#include "twitter/corpus_gen.hpp"
+#include "twitter/datasets.hpp"
+#include "twitter/mention_graph.hpp"
 #include "util/rng.hpp"
 
 namespace graphct::testing {
@@ -34,6 +38,30 @@ inline CsrGraph make_directed(vid n,
   for (auto [u, v] : es) el.add(u, v);
   BuildOptions b;
   b.symmetrize = false;
+  b.dedup = true;
+  return build_csr(el, b);
+}
+
+/// The largest component of a dataset preset's undirected mention graph:
+/// the leaf-heavy graph the paper ranks by betweenness.
+inline CsrGraph mention_lwcc(const char* preset) {
+  twitter::MentionGraphBuilder b;
+  for (const auto& t :
+       twitter::generate_corpus(twitter::dataset_preset(preset).corpus)) {
+    b.add(t);
+  }
+  return largest_component(std::move(b).build().undirected()).graph;
+}
+
+/// A caterpillar: a path of `spine` vertices, each with `legs` leaves.
+inline CsrGraph caterpillar(vid spine, vid legs) {
+  EdgeList el(spine * (1 + legs));
+  for (vid i = 0; i < spine; ++i) {
+    if (i + 1 < spine) el.add(i, i + 1);
+    for (vid j = 0; j < legs; ++j) el.add(i, spine + i * legs + j);
+  }
+  BuildOptions b;
+  b.symmetrize = true;
   b.dedup = true;
   return build_csr(el, b);
 }
