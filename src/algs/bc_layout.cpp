@@ -18,7 +18,8 @@ constexpr std::int32_t kLeaf = -2;
 constexpr vid kParallelFrom = vid{1} << 16;
 
 /// Original ids, no fold: each row copied in order. Serial, so a packed
-/// store is read in id order through one block cache.
+/// store is read in id order through one block cache, each block decoded
+/// once.
 void copy_identity(const GraphView& g, BcLayout& out) {
   const vid n = g.num_vertices();
   eid pos = 0;
@@ -35,8 +36,11 @@ void copy_identity(const GraphView& g, BcLayout& out) {
 /// Number the vertices: the core in BFS order, one search per component
 /// starting from the highest-degree vertex and then from the lowest
 /// unlabelled id; each leaf when its parent's row is scanned. Fills
-/// `label` (original -> layout) and `order` (layout -> original).
-void number_vertices(const GraphView& g, std::vector<std::int32_t>& label,
+/// `label` (original -> layout) and `order` (layout -> original). `Rows`
+/// is the graph's view or its identity layout: the same rows in the same
+/// order, so both give the same numbering.
+template <typename Rows>
+void number_vertices(const Rows& g, std::vector<std::int32_t>& label,
                      std::vector<std::int32_t>& order, vid num_core) {
   const vid n = g.num_vertices();
   vid start = 0;
@@ -76,7 +80,10 @@ void number_vertices(const GraphView& g, std::vector<std::int32_t>& label,
             "bc layout: undirected graph has asymmetric adjacency rows");
 }
 
-void fold(const GraphView& g, BcLayout& out) {
+/// Label the leaves, number the vertices and copy the rows in layout
+/// order, ids mapped. `Rows` as in number_vertices.
+template <typename Rows>
+void fold(const Rows& g, BcLayout& out) {
   const vid n = g.num_vertices();
   if (n == 0) return;
   auto& label = out.label;
@@ -129,15 +136,34 @@ std::uint64_t BcLayout::bytes(vid n, eid entries, bool folded) {
          (folded ? un * sizeof(std::int32_t) : 0);
 }
 
-BcLayout build_bc_layout(const GraphView& g, bool fold_leaves) {
+std::uint64_t bc_layout_build_bytes(const GraphView& g, bool fold) {
   const vid n = g.num_vertices();
-  BcLayout out;
-  out.offsets.resize(static_cast<std::size_t>(n) + 1);
-  out.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
-  if (fold_leaves) {
-    fold(g, out);
-  } else {
+  const eid m = g.num_adjacency_entries();
+  return BcLayout::bytes(n, m, fold) +
+         (fold && g.store_backed() ? BcLayout::bytes(n, m, false) : 0);
+}
+
+BcLayout build_bc_layout(const GraphView& g, bool fold_leaves) {
+  const auto sized = [&g] {
+    BcLayout l;
+    l.offsets.resize(static_cast<std::size_t>(g.num_vertices()) + 1);
+    l.adj.resize(static_cast<std::size_t>(g.num_adjacency_entries()));
+    return l;
+  };
+  BcLayout out = sized();
+  if (!fold_leaves) {
     copy_identity(g, out);
+  } else if (g.store_backed()) {
+    // The numbering and the permuted row copy read rows in BFS order, which
+    // would walk a store's blocks at random through its cache. So decode
+    // the store once, in id order, into a transient identity copy and fold
+    // from that: the same rows in the same order, hence the same layout,
+    // byte for byte.
+    BcLayout rows = sized();
+    copy_identity(g, rows);
+    fold(rows, out);
+  } else {
+    fold(g, out);
   }
   return out;
 }

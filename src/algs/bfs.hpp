@@ -158,7 +158,8 @@ void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
 /// out). It discovers core vertices only: a leaf is reached only through
 /// its parent, so its distance and sigma follow from the parent's, and
 /// every term it adds to a core vertex's sum is exactly zero. Leaves stay
-/// at kNoVertex, except a leaf source, which is the root.
+/// at kNoVertex, except a leaf source, which is the root. In an identity
+/// layout every vertex is core, and the sweep gives the view's bits.
 void bc_forward_sweep(const BcLayout& g, vid source, BfsResult& r,
                       std::vector<double>& sigma);
 

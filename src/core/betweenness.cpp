@@ -192,9 +192,11 @@ void fold_leaves(const BcLayout& layout, vid s, const BfsResult& b,
 
 /// Brandes accumulation from one source into `score`.
 ///
-/// Forward: a folded layout runs bc_forward_sweep over its core, other
-/// undirected graphs run it over the view (fused direction-optimizing BFS
-/// + pull sigma), and directed graphs take the push pass above.
+/// Forward: undirected graphs run bc_forward_sweep (fused
+/// direction-optimizing BFS + pull sigma) over the layout when there is
+/// one (its core, when folded) and over the view otherwise. An identity
+/// layout and the view are the same rows in the same order, so they give
+/// the same bits. Directed graphs take the push pass above.
 ///
 /// Backward: coefficient form. Instead of delta we keep
 /// coef[v] = (1 + delta[v]) / sigma[v], so each vertex does ONE division and
@@ -208,10 +210,10 @@ void accumulate_source(const GraphView& g, const BcLayout& layout, vid s,
                        BcWorkspace& ws, std::vector<double>& score) {
   BfsResult& b = ws.bfs_buffer;
   auto& sigma = ws.sigma;
-  if (layout.folded()) {
-    bc_forward_sweep(layout, s, b, sigma);
-  } else if (g.directed()) {
+  if (g.directed()) {
     forward_push_directed(g, s, b, sigma);
+  } else if (!layout.offsets.empty()) {
+    bc_forward_sweep(layout, s, b, sigma);
   } else {
     bc_forward_sweep(g, s, b, sigma);
   }
@@ -361,19 +363,17 @@ BetweennessResult betweenness_centrality(const GraphView& g,
                                  opts.score_memory_budget_bytes);
 
   // One 32-bit layout for the whole call when ids fit and it fits the
-  // score-memory budget (see algs/bc_layout.hpp). Undirected in-memory
-  // graphs get the folded layout both sweeps read; directed graphs (whose
-  // push pass adds in level order, which a renumbering would change) and
-  // packed stores (whose block cache a renumbered read would thrash) keep
-  // their ids and read the copy in the backward sweep only. Without a
-  // layout both sweeps read the view.
+  // score-memory budget (see algs/bc_layout.hpp), with one rule for DRAM
+  // graphs and packed stores: folded when the fold fits, the identity
+  // layout when only that fits. Undirected graphs read it in both sweeps;
+  // directed graphs (whose push pass adds in level order, which a
+  // renumbering would change) read it in the backward sweep only. Without
+  // a layout both sweeps read the view: over a store, the out-of-core path.
   BcLayout layout;
-  const eid m = g.num_adjacency_entries();
   const std::uint64_t budget = opts.score_memory_budget_bytes;
-  const bool fold = !g.directed() && !g.store_backed() &&
-                    BcLayout::bytes(n, m, true) <= budget;
+  const bool fold = !g.directed() && bc_layout_build_bytes(g, true) <= budget;
   if (n <= std::numeric_limits<std::int32_t>::max() &&
-      BcLayout::bytes(n, m, fold) <= budget) {
+      bc_layout_build_bytes(g, fold) <= budget) {
     GCT_SPAN("bc.layout");
     layout = build_bc_layout(g, fold);
   }

@@ -21,10 +21,11 @@
 ///    It runs at one thread, and whenever the budget cannot hold two
 ///    buffers (huge graphs).
 ///
-/// On undirected in-memory graphs both sweeps read a layout that folds the
-/// degree-1 vertices out of the search (algs/bc_layout.hpp): a leaf never
-/// lies on a shortest path between two others, and its state follows from
-/// its neighbour's, bit for bit.
+/// On undirected graphs, in memory or packed, both sweeps read a per-call
+/// int32 layout that folds the degree-1 vertices out of the search
+/// (algs/bc_layout.hpp): a leaf never lies on a shortest path between two
+/// others, and its state follows from its neighbour's, bit for bit. A
+/// packed store is decoded once per call to build it.
 
 #include <cstdint>
 #include <vector>
@@ -64,10 +65,13 @@ struct BetweennessOptions {
   bool rescale = false;
 
   /// Cap on the bytes of per-thread score buffers held live at once
-  /// (default 1 GiB), and on the per-call 32-bit layout both sweeps read
-  /// (algs/bc_layout.hpp; without it they read the graph). The coarse team
-  /// is sized to fit; below two buffers the kernel runs fine-grained, whose
-  /// score memory is the result array alone.
+  /// (default 1 GiB), and on the per-call 32-bit layout the sweeps read
+  /// (algs/bc_layout.hpp): folded when that fits (for a packed store,
+  /// together with the transient identity copy it is folded from), the
+  /// identity layout when only that fits, and none otherwise, when the
+  /// sweeps read the graph itself (over a store, through its block cache).
+  /// The coarse team is sized to fit; below two buffers the kernel runs
+  /// fine-grained, whose score memory is the result array alone.
   std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
 };
 

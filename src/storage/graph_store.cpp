@@ -59,17 +59,20 @@ GraphStore::GraphStore(const std::string& path, const StoreOptions& opts)
                     header_->file_bytes,
             "packed graph '" + path + "': inconsistent section offsets");
 
-  const auto* trailer = reinterpret_cast<const PackedTrailer*>(
-      file_.data() + file_.size() - sizeof(PackedTrailer));
-  GCT_CHECK(std::memcmp(trailer->magic, kPackedEndMagic, 8) == 0,
+  // The trailer follows the payload, whose length is any byte count, so
+  // it is copied out rather than read in place at a misaligned address.
+  PackedTrailer trailer{};
+  std::memcpy(&trailer, file_.data() + file_.size() - sizeof(PackedTrailer),
+              sizeof(PackedTrailer));
+  GCT_CHECK(std::memcmp(trailer.magic, kPackedEndMagic, 8) == 0,
             "packed graph '" + path +
                 "': missing end marker — file truncated?");
   if (opts_.verify_checksum) {
     const std::uint64_t got =
         fnv1a64(file_.data(), file_.size() - sizeof(PackedTrailer));
-    GCT_CHECK(got == trailer->checksum,
+    GCT_CHECK(got == trailer.checksum,
               "packed graph '" + path + "': checksum mismatch (stored " +
-                  std::to_string(trailer->checksum) + ", computed " +
+                  std::to_string(trailer.checksum) + ", computed " +
                   std::to_string(got) + ") — file corrupt");
   }
 

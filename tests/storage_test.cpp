@@ -13,6 +13,7 @@
 #include <limits>
 #include <vector>
 
+#include "algs/bc_layout.hpp"
 #include "algs/bfs.hpp"
 #include "algs/connected_components.hpp"
 #include "algs/degree.hpp"
@@ -425,7 +426,30 @@ TEST(PackedStoreTest, CorruptPayloadFailsChecksumVerify) {
   }
 }
 
+TEST(PackedStoreTest, TrailerAfterUnalignedPayloadOpensAndVerifies) {
+  // A varint payload is any number of bytes long, so the trailer (which
+  // holds a uint64 checksum) can start at an offset that is not a multiple
+  // of 8. Opening must still read it, checksum included, without a
+  // misaligned load (this aborts under -fsanitize=undefined otherwise).
+  const CsrGraph g = make_undirected(5, {{0, 1}, {1, 2}, {2, 3}});
+  TempFile f("gct_storage_unaligned_trailer.gctp");
+  const auto res = storage::pack_graph(g, f.path, {});
+  ASSERT_NE(res.payload_bytes % 8, 0u);
+  StoreOptions opts;
+  opts.verify_checksum = true;
+  const GraphStore store(f.path, opts);
+  expect_store_matches(store, g);
+}
+
 // -------------------------------------------------------- kernel parity --
+
+/// A betweenness score budget one byte below the identity layout of `g`:
+/// no layout fits, so both sweeps read the graph itself.
+std::uint64_t streamed_budget(const CsrGraph& g) {
+  return BcLayout::bytes(g.num_vertices(), g.num_adjacency_entries(),
+                         /*folded=*/false) -
+         1;
+}
 
 /// The acceptance bar: kernels over the mmap store under a cache budget far
 /// smaller than the raw adjacency must produce results byte-identical to
@@ -478,9 +502,12 @@ TEST_F(StoreKernelParityTest, PageRankIdentical) {
 
 TEST_F(StoreKernelParityTest, BetweennessIdenticalSingleThread) {
   // One thread runs the fine plan, whose scores are bitwise reproducible;
-  // parity across backends is the point here. DRAM graphs fold their
-  // leaves and stores keep the unfolded path, so the leaf-heavy atlflood
-  // mention graph (51% leaves) pins the fold against the store.
+  // parity across backends is the point here. Stores fold like DRAM
+  // graphs, so each store runs twice: with the default budget (the layout
+  // built from one decode of the store) and with a budget below even the
+  // identity layout, where both sweeps stream through the block cache
+  // unfolded. That second run keeps an unfolded oracle for the fold on the
+  // leaf-heavy atlflood mention graph (51% leaves).
   const CsrGraph leafy = testing::mention_lwcc("atlflood");
   TempFile leafy_file("gct_storage_parity_leafy.gctp");
   PackOptions popts;
@@ -498,13 +525,66 @@ TEST_F(StoreKernelParityTest, BetweennessIdenticalSingleThread) {
   opts.num_sources = 16;
   const auto mem = betweenness_centrality(g_, opts);
   const auto packed = betweenness_centrality(GraphView(*store_), opts);
+  BetweennessOptions streamed = opts;
+  streamed.score_memory_budget_bytes = streamed_budget(g_);
+  const auto packed_streamed =
+      betweenness_centrality(GraphView(*store_), streamed);
   opts.num_sources = 64;
   const auto leafy_mem = betweenness_centrality(leafy, opts);
   const auto leafy_packed =
       betweenness_centrality(GraphView(leafy_store), opts);
+  streamed.num_sources = 64;
+  streamed.score_memory_budget_bytes = streamed_budget(leafy);
+  const auto leafy_streamed =
+      betweenness_centrality(GraphView(leafy_store), streamed);
   set_num_threads(0);
   EXPECT_EQ(mem.score, packed.score);
+  EXPECT_EQ(mem.score, packed_streamed.score);
   EXPECT_EQ(leafy_mem.score, leafy_packed.score);
+  EXPECT_EQ(leafy_mem.score, leafy_streamed.score);
+}
+
+TEST_F(StoreKernelParityTest, BetweennessDecodesEachBlockOncePerCall) {
+  // With a layout, betweenness reads the store once, in id order, so one
+  // call decodes each block at most once. Without one (a budget below the
+  // identity layout) both sweeps decode through the cache for every
+  // source, far more often; that run shows the count tells the paths apart.
+  const GraphView view(*store_);
+  set_num_threads(1);
+  BetweennessOptions opts;
+  opts.num_sources = 16;
+  auto before = store_->cache_stats();
+  (void)betweenness_centrality(view, opts);
+  const std::int64_t with_layout = store_->cache_stats().misses - before.misses;
+  opts.score_memory_budget_bytes = streamed_budget(g_);
+  before = store_->cache_stats();
+  (void)betweenness_centrality(view, opts);
+  const std::int64_t streamed = store_->cache_stats().misses - before.misses;
+  set_num_threads(0);
+  EXPECT_LE(with_layout, store_->num_blocks());
+  EXPECT_GT(streamed, store_->num_blocks());
+}
+
+TEST(BcLayoutTest, StoreBuiltFoldMatchesDramBuild) {
+  // A store's layout is folded from one sequential decode, not from the
+  // view; it must equal the layout built from the DRAM graph, field for
+  // field, so the fold's no-bits-move argument carries over unchanged.
+  const CsrGraph g = testing::mention_lwcc("atlflood");
+  TempFile f("gct_storage_layout.gctp");
+  PackOptions popts;
+  popts.block_target_bytes = 2048;
+  storage::pack_graph(g, f.path, popts);
+  StoreOptions sopts;
+  sopts.cache_budget_bytes = 16 << 10;
+  const GraphStore store(f.path, sopts);
+  const BcLayout mem = build_bc_layout(g, /*fold=*/true);
+  const BcLayout packed = build_bc_layout(GraphView(store), /*fold=*/true);
+  ASSERT_TRUE(mem.folded());
+  EXPECT_LT(mem.num_core, mem.num_vertices());
+  EXPECT_EQ(mem.offsets, packed.offsets);
+  EXPECT_EQ(mem.adj, packed.adj);
+  EXPECT_EQ(mem.label, packed.label);
+  EXPECT_EQ(mem.num_core, packed.num_core);
 }
 
 // ------------------------------------------------- toolkit cross-backend --
