@@ -1,12 +1,9 @@
 #include "algs/closeness.hpp"
 
-#include <omp.h>
-
 #include "algs/bfs.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 
 namespace graphct {
 
@@ -19,72 +16,39 @@ ClosenessResult closeness_centrality(const GraphView& g,
   result.score.assign(static_cast<std::size_t>(n), 0.0);
   if (n == 0) return result;
 
-  std::vector<vid> sources;
-  {
-    GCT_SPAN("closeness.sources");
-    if (opts.num_sources == kNoVertex || opts.num_sources >= n) {
-      sources.resize(static_cast<std::size_t>(n));
-      for (vid v = 0; v < n; ++v) sources[static_cast<std::size_t>(v)] = v;
-    } else {
-      GCT_CHECK(opts.num_sources > 0,
-                "closeness_centrality: num_sources must be positive");
-      Rng rng(opts.seed);
-      sources = rng.sample_without_replacement(n, opts.num_sources);
-    }
-  }
+  const std::vector<vid> sources =
+      sample_sources(n, opts.num_sources, opts.seed);
   result.sources_used = static_cast<std::int64_t>(sources.size());
 
-  const int nt = num_threads();
-  std::vector<std::vector<double>> buffers(
-      static_cast<std::size_t>(nt),
-      std::vector<double>(static_cast<std::size_t>(n), 0.0));
+  const SourceSumPlan plan = plan_source_sum(
+      n, result.sources_used, num_threads(), kSourceSumBudgetBytes, 0);
+  // Direction-optimizing searches (closeness is undirected-only): the
+  // low-diameter graphs this kernel samples spend most levels in the fat
+  // middle, exactly where bottom-up wins. Harmonic sums are per-vertex adds
+  // of 1/d, so level order does not affect scores.
+  const BfsOptions bopts{.strategy = BfsStrategy::kDirectionOptimizing,
+                         .deterministic_order = false,
+                         .compute_parents = false};
+  std::vector<BfsResult> searches(static_cast<std::size_t>(plan.team));
   {
     GCT_SPAN("closeness.bfs");
-    {
-    obs::SuspendCollection pause;  // region work is accounted in bulk below
-#pragma omp parallel num_threads(nt)
-    {
-      const int t = omp_get_thread_num();
-      auto& mine = buffers[static_cast<std::size_t>(t)];
-      BfsOptions bopts;
-      // Direction-optimizing searches (closeness is undirected-only): the
-      // low-diameter graphs this kernel samples spend most levels in the
-      // fat middle, exactly where bottom-up wins. Harmonic sums are
-      // per-vertex adds of 1/d, so level order does not affect scores —
-      // they stay bit-identical to the top-down engine.
-      bopts.strategy = BfsStrategy::kDirectionOptimizing;
-      bopts.deterministic_order = false;
-      bopts.compute_parents = false;
-      BfsResult b;
-#pragma omp for schedule(dynamic, 1)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(sources.size());
-           ++i) {
-        bfs_into(g, sources[static_cast<std::size_t>(i)], bopts, b);
-        // Harmonic contribution of this pivot to every reached vertex;
-        // level_offsets give the distance without a per-vertex lookup.
-        for (std::size_t d = 1; d + 1 < b.level_offsets.size(); ++d) {
-          const double w = 1.0 / static_cast<double>(d);
-          const auto lo = static_cast<std::size_t>(b.level_offsets[d]);
-          const auto hi = static_cast<std::size_t>(b.level_offsets[d + 1]);
-          for (std::size_t j = lo; j < hi; ++j) {
-            mine[static_cast<std::size_t>(b.order[j])] += w;
+    // A parallel plan books a source as one full-adjacency traversal.
+    sum_over_sources(
+        result.sources_used, plan, {n, g.num_adjacency_entries()},
+        result.score, [&](int worker, std::int64_t i, std::span<double> into) {
+          BfsResult& b = searches[static_cast<std::size_t>(worker)];
+          bfs_into(g, sources[static_cast<std::size_t>(i)], bopts, b);
+          // Harmonic contribution of this pivot to every reached vertex;
+          // level_offsets give the distance without a per-vertex lookup.
+          for (std::size_t d = 1; d + 1 < b.level_offsets.size(); ++d) {
+            const double w = 1.0 / static_cast<double>(d);
+            const auto lo = static_cast<std::size_t>(b.level_offsets[d]);
+            const auto hi = static_cast<std::size_t>(b.level_offsets[d + 1]);
+            for (std::size_t j = lo; j < hi; ++j) {
+              into[static_cast<std::size_t>(b.order[j])] += w;
+            }
           }
-        }
-      }
-    }
-    }
-    // Per-source BFS work inside the region is invisible to the profile
-    // (collection is suspended; worker threads have no sink anyway), so
-    // account for the sampled searches in bulk: one full-adjacency traversal
-    // per source, the same BFS-equivalent convention the paper's TEPS
-    // numbers use.
-    obs::add_work(result.sources_used * static_cast<std::int64_t>(n),
-                  result.sources_used * g.num_adjacency_entries());
-  }
-  {
-    GCT_SPAN("closeness.reduce_tree");
-    tree_reduce_buffers(
-        buffers, std::span<double>(result.score.data(), result.score.size()));
+        });
   }
 
   if (opts.rescale && result.sources_used < n) {

@@ -1,7 +1,5 @@
 #include "core/betweenness.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -100,7 +98,7 @@ void forward_push_directed(const GraphView& g, vid s, BfsResult& b,
 /// gives coef = 1/sigma and a +0.0 score.
 template <typename NbrFn>
 void backward_sweep_impl(vid s, const BfsResult& b, BcWorkspace& ws,
-                         std::vector<double>& score, const NbrFn& nbrs_of,
+                         std::span<double> score, const NbrFn& nbrs_of,
                          int nthreads, bool profiling) {
   const auto& sigma = ws.sigma;
   DistCoef* dc = ws.dc.data();
@@ -145,7 +143,7 @@ void backward_sweep_impl(vid s, const BfsResult& b, BcWorkspace& ws,
 }
 
 void backward_sweep(const GraphView& g, vid s, const BfsResult& b,
-                    BcWorkspace& ws, std::vector<double>& score,
+                    BcWorkspace& ws, std::span<double> score,
                     const BcLayout& layout, int nthreads, bool profiling) {
   if (!layout.offsets.empty()) {
     backward_sweep_impl(
@@ -204,10 +202,10 @@ void fold_leaves(const BcLayout& layout, vid s, const BfsResult& b,
 /// over neighbors one level deeper. The sum runs in adjacency order and
 /// every write (coef, score) is per-vertex exclusive — no atomics, and
 /// bit-identical results for any thread count. Levels are scheduled
-/// through the work-stealing queue; inside a coarse team stealing_for
-/// detects the enclosing parallel region and runs inline.
+/// through the work-stealing queue; inside a parallel source sum
+/// stealing_for detects the enclosing parallel region and runs inline.
 void accumulate_source(const GraphView& g, const BcLayout& layout, vid s,
-                       BcWorkspace& ws, std::vector<double>& score) {
+                       BcWorkspace& ws, std::span<double> score) {
   BfsResult& b = ws.bfs_buffer;
   auto& sigma = ws.sigma;
   if (g.directed()) {
@@ -305,19 +303,7 @@ std::vector<vid> sample_component_aware(const GraphView& g, std::int64_t k,
 
 BcPlan plan_betweenness(vid n, std::int64_t num_sources, int threads,
                         std::uint64_t budget_bytes) {
-  const std::uint64_t per_buffer =
-      static_cast<std::uint64_t>(n) * sizeof(double);
-  const std::int64_t affordable =
-      per_buffer == 0 ? threads
-                      : static_cast<std::int64_t>(budget_bytes / per_buffer);
-  BcPlan p;
-  const std::int64_t team =
-      std::min<std::int64_t>({threads, affordable, num_sources});
-  if (team >= 2) {
-    p.team = static_cast<int>(team);
-    p.buffer_bytes = static_cast<std::uint64_t>(team) * per_buffer;
-  }
-  return p;
+  return plan_source_sum(n, num_sources, threads, budget_bytes, 0);
 }
 
 std::vector<vid> choose_sources(const GraphView& g,
@@ -330,19 +316,14 @@ std::vector<vid> choose_sources(const GraphView& g,
     k = static_cast<std::int64_t>(
         std::ceil(static_cast<double>(n) * opts.sample_fraction));
   }
-  if (k == kNoVertex || k >= n) {
-    std::vector<vid> all(static_cast<std::size_t>(n));
-    for (vid v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
-    return all;
-  }
-  GCT_CHECK(k > 0, "betweenness: num_sources must be positive");
-  Rng rng(opts.seed);
   // Weak components say nothing about directed reachability, so directed
   // graphs sample uniformly.
-  if (opts.sampling == BcSampling::kComponentAware && !g.directed()) {
+  if (opts.sampling == BcSampling::kComponentAware && !g.directed() &&
+      k > 0 && k < n) {
+    Rng rng(opts.seed);
     return sample_component_aware(g, k, rng);
   }
-  return rng.sample_without_replacement(n, k);
+  return sample_sources(n, k, opts.seed);
 }
 
 BetweennessResult betweenness_centrality(const GraphView& g,
@@ -387,47 +368,21 @@ BetweennessResult betweenness_centrality(const GraphView& g,
   }
   std::vector<double>& score = layout.folded() ? layout_score : result.score;
 
-  const int team = result.plan.team;
-  if (team == 1) {
-    // Fine: sources serial, straight into the scores; each sweep is
-    // level-parallel (work-stealing chunks, no atomics — every write is
-    // per-vertex exclusive). The per-source sweeps record exact work
-    // counters into the bc.forward_td / bc.forward_bu / bc.backward phases
-    // (this runs on the profiling thread).
+  // The serial plan is the fine one, whose level-parallel sweeps record
+  // exact work; a parallel plan books a source as one full-adjacency
+  // traversal (docs/OBSERVABILITY.md on TEPS for sampled kernels).
+  std::vector<BcWorkspace> workspaces;
+  workspaces.reserve(static_cast<std::size_t>(result.plan.team));
+  for (int t = 0; t < result.plan.team; ++t) workspaces.emplace_back(n);
+  {
     GCT_SPAN("bc.accumulate");
-    BcWorkspace ws(n);
-    for (vid s : sources) accumulate_source(g, layout, s, ws, score);
-  } else {
-    // Coarse: one parallel pass over all sources across the buffer team,
-    // then one parallel tree reduction into the scores.
-    std::vector<std::vector<double>> buffers(
-        static_cast<std::size_t>(team),
-        std::vector<double>(static_cast<std::size_t>(n), 0.0));
-    std::vector<BcWorkspace> workspaces;
-    workspaces.reserve(static_cast<std::size_t>(team));
-    for (int t = 0; t < team; ++t) workspaces.emplace_back(n);
-    {
-      GCT_SPAN("bc.accumulate");
-      {
-        obs::SuspendCollection pause;  // accounted in bulk below
-#pragma omp parallel num_threads(team)
-        {
-          const int t = omp_get_thread_num();
-#pragma omp for schedule(dynamic, 1)
-          for (std::int64_t i = 0; i < result.sources_used; ++i) {
-            accumulate_source(g, layout, sources[static_cast<std::size_t>(i)],
-                              workspaces[static_cast<std::size_t>(t)],
-                              buffers[static_cast<std::size_t>(t)]);
-          }
-        }
-      }
-      // BFS-equivalent convention: one full-adjacency traversal per source
-      // (see docs/OBSERVABILITY.md on TEPS for sampled kernels).
-      obs::add_work(result.sources_used * static_cast<std::int64_t>(n),
-                    result.sources_used * g.num_adjacency_entries());
-    }
-    GCT_SPAN("bc.reduce_tree");
-    tree_reduce_buffers(buffers, std::span<double>(score.data(), score.size()));
+    sum_over_sources(
+        result.sources_used, result.plan, {n, g.num_adjacency_entries()},
+        score, [&](int worker, std::int64_t i, std::span<double> into) {
+          accumulate_source(g, layout, sources[static_cast<std::size_t>(i)],
+                            workspaces[static_cast<std::size_t>(worker)],
+                            into);
+        });
   }
   if (layout.folded()) {
     const auto& label = layout.label;

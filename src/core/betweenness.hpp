@@ -12,9 +12,13 @@
 /// sampled sources.
 ///
 /// Parallel decomposition mirrors §II-B, chosen by plan_betweenness() from
-/// the thread count and the score-memory budget:
-///  * coarse — independent sources run concurrently across a team of
-///    private score buffers, tree-reduced once at the end;
+/// the thread count and the score-memory budget, and run by
+/// sum_over_sources in util/parallel.hpp:
+///  * coarse — independent sources run concurrently across up to two
+///    private score buffers ("slots") per thread. Slot j sums sources j,
+///    j + S, ... in order and the slots tree-reduce once at the end, so the
+///    same call under the same plan repeats bit for bit; another thread
+///    count changes S and agrees to float noise;
 ///  * fine — one source at a time, with the BFS, path-count, and dependency
 ///    sweeps parallel across each level. Every write is per-vertex
 ///    exclusive, so fine scores are bit-identical for any thread count.
@@ -32,6 +36,7 @@
 
 #include "graph/csr_graph.hpp"
 #include "storage/graph_view.hpp"
+#include "util/parallel.hpp"
 
 namespace graphct {
 
@@ -64,24 +69,21 @@ struct BetweennessOptions {
   /// (rankings are unaffected; off by default to match GraphCT's raw sums).
   bool rescale = false;
 
-  /// Cap on the bytes of per-thread score buffers held live at once
+  /// Cap on the bytes of coarse score buffers held live at once
   /// (default 1 GiB), and on the per-call 32-bit layout the sweeps read
   /// (algs/bc_layout.hpp): folded when that fits (for a packed store,
   /// together with the transient identity copy it is folded from), the
   /// identity layout when only that fits, and none otherwise, when the
   /// sweeps read the graph itself (over a store, through its block cache).
-  /// The coarse team is sized to fit; below two buffers the kernel runs
-  /// fine-grained, whose score memory is the result array alone.
-  std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
+  /// The coarse team and its slots are sized to fit; below two buffers the
+  /// kernel runs fine-grained, whose score memory is the result array alone.
+  std::uint64_t score_memory_budget_bytes = kSourceSumBudgetBytes;
 };
 
 /// Execution plan derived from the vertex count, source count, thread
 /// count, and memory budget — exposed so tests can assert the budget
-/// arithmetic without running a kernel.
-struct BcPlan {
-  int team = 1;                    ///< score buffers; 1 = fine (serial sources)
-  std::uint64_t buffer_bytes = 0;  ///< team * n * sizeof(double); 0 when fine
-};
+/// arithmetic without running a kernel. team 1 is the fine plan.
+using BcPlan = SourceSumPlan;
 
 /// Result of a betweenness run.
 struct BetweennessResult {
@@ -91,8 +93,7 @@ struct BetweennessResult {
   BcPlan plan;                    ///< the plan the kernel ran
 };
 
-/// team = min(threads, budget / (8n), num_sources); a team below two runs
-/// fine-grained (team 1, no buffers).
+/// plan_source_sum(n, num_sources, threads, budget_bytes, 0).
 BcPlan plan_betweenness(vid n, std::int64_t num_sources, int threads,
                         std::uint64_t budget_bytes);
 

@@ -1,14 +1,9 @@
 #include "core/kbetweenness.hpp"
 
-#include <omp.h>
-
-#include <algorithm>
-
 #include "algs/bfs.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 
 namespace graphct {
 
@@ -44,9 +39,9 @@ struct KbcWorkspace {
 };
 
 /// Accumulate one source's k-BC dependencies into `score` (plain adds; the
-/// caller arranges exclusive buffers or serial source order).
+/// source sum hands each call an exclusive buffer).
 void accumulate_source_kbc(const GraphView& g, vid s, KbcWorkspace& ws,
-                           std::vector<double>& score) {
+                           std::span<double> score) {
   const std::int64_t k = ws.k;
   BfsOptions bopts;
   // Direction-optimizing BFS (kbc is undirected-only, so bottom-up sweeps
@@ -159,68 +154,32 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
   if (n == 0) return result;
   obs::KernelScope scope("kbc");
 
-  std::vector<vid> sources;
-  {
-    GCT_SPAN("kbc.sources");
-    if (opts.num_sources == kNoVertex || opts.num_sources >= n) {
-      sources.resize(static_cast<std::size_t>(n));
-      for (vid v = 0; v < n; ++v) sources[static_cast<std::size_t>(v)] = v;
-    } else {
-      GCT_CHECK(opts.num_sources > 0,
-                "k_betweenness_centrality: num_sources must be positive");
-      Rng rng(opts.seed);
-      sources = rng.sample_without_replacement(n, opts.num_sources);
-    }
-  }
+  const std::vector<vid> sources =
+      sample_sources(n, opts.num_sources, opts.seed);
   result.sources_used = static_cast<std::int64_t>(sources.size());
 
-  // Memory-bounded team (as in plan_betweenness): one slot costs a score
-  // buffer plus the two (k+1) x n slack tables and the total array, so size
-  // the team to the budget with a floor of one worker.
-  const std::uint64_t slot_bytes =
-      static_cast<std::uint64_t>(2 * (opts.k + 1) + 2) *
+  // A workspace holds the two (k+1) x n slack tables and the total array.
+  const std::uint64_t workspace_bytes =
+      static_cast<std::uint64_t>(2 * (opts.k + 1) + 1) *
       static_cast<std::uint64_t>(n) * sizeof(double);
-  const int nt = num_threads();
-  int team = nt;
-  if (slot_bytes > 0) {
-    const auto affordable = static_cast<std::int64_t>(
-        opts.score_memory_budget_bytes / slot_bytes);
-    team = static_cast<int>(std::clamp<std::int64_t>(affordable, 1, nt));
-  }
-  result.peak_buffer_bytes = static_cast<std::uint64_t>(team) * slot_bytes;
-
-  std::vector<std::vector<double>> buffers(
-      static_cast<std::size_t>(team),
-      std::vector<double>(static_cast<std::size_t>(n), 0.0));
-  std::vector<KbcWorkspace> workspaces;
-  workspaces.reserve(static_cast<std::size_t>(team));
-  for (int t = 0; t < team; ++t) workspaces.emplace_back(opts.k, n);
-
+  const SourceSumPlan plan =
+      plan_source_sum(n, result.sources_used, num_threads(),
+                      opts.score_memory_budget_bytes, workspace_bytes);
+  result.peak_buffer_bytes = plan.buffer_bytes;
+  std::vector<KbcWorkspace> workspaces(static_cast<std::size_t>(plan.team),
+                                       KbcWorkspace(opts.k, n));
   {
     GCT_SPAN("kbc.accumulate");
-    {
-      obs::SuspendCollection pause;  // accounted in bulk below
-#pragma omp parallel num_threads(team)
-      {
-        const int t = omp_get_thread_num();
-#pragma omp for schedule(dynamic, 1)
-        for (std::int64_t i = 0; i < result.sources_used; ++i) {
+    // A parallel plan books a source as one adjacency sweep per slack value
+    // and direction (the BFS-equivalent TEPS convention).
+    sum_over_sources(
+        result.sources_used, plan,
+        {n, 2 * (opts.k + 1) * g.num_adjacency_entries()}, result.score,
+        [&](int worker, std::int64_t i, std::span<double> into) {
           accumulate_source_kbc(g, sources[static_cast<std::size_t>(i)],
-                                workspaces[static_cast<std::size_t>(t)],
-                                buffers[static_cast<std::size_t>(t)]);
-        }
-      }
-    }
-    // Each source sweeps the adjacency once per slack value 0..k, forward
-    // and backward (BFS-equivalent TEPS convention for sampled kernels).
-    obs::add_work(
-        result.sources_used * static_cast<std::int64_t>(n),
-        result.sources_used * 2 * (opts.k + 1) * g.num_adjacency_entries());
-  }
-  {
-    GCT_SPAN("kbc.reduce_tree");
-    tree_reduce_buffers(
-        buffers, std::span<double>(result.score.data(), result.score.size()));
+                                workspaces[static_cast<std::size_t>(worker)],
+                                into);
+        });
   }
   result.seconds = scope.seconds();
   return result;

@@ -49,6 +49,7 @@
 
 #include "graph/csr_graph.hpp"
 #include "storage/graph_view.hpp"
+#include "util/parallel.hpp"
 
 namespace graphct {
 
@@ -63,13 +64,12 @@ struct KBetweennessOptions {
 
   std::uint64_t seed = 1;
 
-  /// Cap on the total bytes of per-thread accumulation state (score buffer
-  /// plus the (k+1) x n sigma/rho slack tables) held live at once, default
-  /// 1 GiB. The worker team is sized to fit, as betweenness sizes its
-  /// buffer team, and its buffers end in one parallel tree reduction. The
-  /// team never drops below one worker, so the floor is one workspace
-  /// regardless of budget.
-  std::uint64_t score_memory_budget_bytes = std::uint64_t{1} << 30;
+  /// Cap on the bytes of accumulation state held live at once, default
+  /// 1 GiB: each worker's (k+1) x n slack tables plus up to two score
+  /// buffers per worker, planned as betweenness plans its slots. Below a
+  /// team of two the sources run serially into the scores, so the floor
+  /// is one workspace regardless of budget.
+  std::uint64_t score_memory_budget_bytes = kSourceSumBudgetBytes;
 };
 
 /// Result of a k-betweenness run.
@@ -77,7 +77,7 @@ struct KBetweennessResult {
   std::vector<double> score;
   std::int64_t sources_used = 0;
   double seconds = 0.0;
-  std::uint64_t peak_buffer_bytes = 0;  ///< high-water accumulation memory
+  std::uint64_t peak_buffer_bytes = 0;  ///< the plan's buffer_bytes
 };
 
 /// Compute k-betweenness centrality of an undirected graph.

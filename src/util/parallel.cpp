@@ -3,10 +3,14 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <exception>
+#include <mutex>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace graphct {
 
@@ -149,32 +153,109 @@ void parallel_fill(std::span<double> v, double value) {
   for (std::int64_t i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = value;
 }
 
-void tree_reduce_buffers(std::vector<std::vector<double>>& buffers,
-                         std::span<double> out) {
-  const auto nb = static_cast<std::int64_t>(buffers.size());
-  const auto n = static_cast<std::int64_t>(out.size());
-  if (nb == 0) return;
-  for (const auto& b : buffers) {
-    GCT_ASSERT(static_cast<std::int64_t>(b.size()) >= n);
+std::vector<std::int64_t> sample_sources(std::int64_t n,
+                                         std::int64_t num_sources,
+                                         std::uint64_t seed) {
+  if (num_sources == -1 || num_sources >= n) {
+    std::vector<std::int64_t> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), std::int64_t{0});
+    return all;
   }
-  // Pairwise combine: after the last stage buffers[0] holds the full sum.
-  // Summation order is fixed by the tree shape, not the schedule, so results
-  // are reproducible for a given buffer count.
-  for (std::int64_t stride = 1; stride < nb; stride *= 2) {
+  GCT_CHECK(num_sources > 0, "num_sources must be positive");
+  return Rng(seed).sample_without_replacement(n, num_sources);
+}
+
+SourceSumPlan plan_source_sum(std::int64_t n, std::int64_t num_sources,
+                              int threads, std::uint64_t budget_bytes,
+                              std::uint64_t workspace_bytes) {
+  const std::uint64_t per_buffer =
+      std::max<std::uint64_t>(static_cast<std::uint64_t>(n) * sizeof(double), 1);
+  for (int t = threads; t >= 2; --t) {
+    const std::uint64_t workspaces =
+        static_cast<std::uint64_t>(t) * workspace_bytes;
+    if (workspaces > budget_bytes) continue;
+    const std::int64_t slots = std::min<std::int64_t>(
+        {2 * t, num_sources,
+         static_cast<std::int64_t>(std::min<std::uint64_t>(
+             (budget_bytes - workspaces) / per_buffer, 2u * t))});
+    if (slots >= t) {
+      return {t, static_cast<int>(slots),
+              static_cast<std::uint64_t>(slots * n) * sizeof(double) +
+                  workspaces};
+    }
+  }
+  return {1, 0, workspace_bytes};
+}
+
+void sum_over_sources(
+    std::int64_t num_sources, const SourceSumPlan& plan,
+    SourceWork per_source, std::span<double> out,
+    const std::function<void(int, std::int64_t, std::span<double>)>& fn) {
+  if (plan.team < 2) {
+    for (std::int64_t i = 0; i < num_sources; ++i) fn(0, i, out);
+    return;
+  }
+  GCT_ASSERT(plan.slots >= plan.team);
+  const auto slots = static_cast<std::size_t>(plan.slots);
+  std::vector<std::vector<double>> buffers(
+      slots, std::vector<double>(out.size(), 0.0));
+  // Guarded by `mu`: slot j's next source (j, j + slots, ...), whether a
+  // thread is summing into it, and the first error.
+  std::mutex mu;
+  std::vector<std::int64_t> next(slots);
+  std::iota(next.begin(), next.end(), std::int64_t{0});
+  std::vector<char> busy(slots, 0);
+  std::exception_ptr error;
+  {
+    // Workers record no spans, and the calling thread's share alone would
+    // skew the profile; the region is booked in bulk below.
+    obs::SuspendCollection pause;
+#pragma omp parallel num_threads(plan.team)
+    {
+      const int worker = omp_get_thread_num();
+      std::unique_lock<std::mutex> lock(mu);
+      for (;;) {
+        std::size_t pick = slots;
+        for (std::size_t j = 0; j < slots; ++j) {
+          if (!busy[j] && next[j] < num_sources &&
+              (pick == slots || next[j] < next[pick])) {
+            pick = j;
+          }
+        }
+        // Every slot with sources left is busy, and each holder re-picks in
+        // the lock hold that frees its slot: there is nothing to wait for.
+        if (pick == slots || error) break;
+        const std::int64_t i = next[pick];
+        next[pick] += plan.slots;
+        busy[pick] = 1;
+        lock.unlock();
+        try {
+          fn(worker, i, buffers[pick]);
+        } catch (...) {
+          const std::lock_guard<std::mutex> guard(mu);
+          if (!error) error = std::current_exception();
+        }
+        lock.lock();
+        busy[pick] = 0;
+      }
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  obs::add_work(num_sources * per_source.vertices,
+                num_sources * per_source.edges);
+  // The slots combine pairwise (stride 1, 2, 4, ...) into buffers[0], then
+  // into out: the tree's shape, not the schedule, fixes every sum's order.
+  GCT_SPAN("source_sum.reduce_tree");
+  for (std::size_t stride = 1; stride < slots; stride *= 2) {
 #pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t b = 0; b + stride < nb; b += 2 * stride) {
-        buffers[static_cast<std::size_t>(b)][static_cast<std::size_t>(i)] +=
-            buffers[static_cast<std::size_t>(b + stride)]
-                   [static_cast<std::size_t>(i)];
+    for (std::size_t v = 0; v < out.size(); ++v) {
+      for (std::size_t b = 0; b + stride < slots; b += 2 * stride) {
+        buffers[b][v] += buffers[b + stride][v];
       }
     }
   }
 #pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] +=
-        buffers[0][static_cast<std::size_t>(i)];
-  }
+  for (std::size_t v = 0; v < out.size(); ++v) out[v] += buffers[0][v];
 }
 
 }  // namespace graphct

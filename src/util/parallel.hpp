@@ -10,6 +10,7 @@
 /// stream scheduler.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -66,12 +67,49 @@ std::int64_t reduce_max(std::span<const std::int64_t> v,
 void parallel_fill(std::span<std::int64_t> v, std::int64_t value);
 void parallel_fill(std::span<double> v, double value);
 
-/// Tree-combine equal-length per-thread accumulation buffers into `out`:
-/// out[i] += Σ_b buffers[b][i]. Pairwise stages (log2 B of them), each a
-/// parallel loop over the index range, replacing the sequential per-buffer
-/// reduce that serialized the coarse centrality kernels. The buffers are
-/// consumed: contents are unspecified afterwards.
-void tree_reduce_buffers(std::vector<std::vector<double>>& buffers,
-                         std::span<double> out);
+// ---- Source-parallel sums (bc, kbc, closeness; paper §II-B) ----
+
+/// Default cap on a source sum's buffer and workspace bytes (1 GiB).
+inline constexpr std::uint64_t kSourceSumBudgetBytes = std::uint64_t{1} << 30;
+
+/// All n vertices when num_sources is -1 (kNoVertex) or >= n, else
+/// Rng(seed).sample_without_replacement(n, num_sources). Throws on any
+/// other count <= 0.
+std::vector<std::int64_t> sample_sources(std::int64_t n,
+                                         std::int64_t num_sources,
+                                         std::uint64_t seed);
+
+/// team 1: serial, sources in order straight into the output. Otherwise
+/// `team` threads over `slots` score buffers; slot j sums sources j,
+/// j + slots, ... in order and the slots combine in a fixed pairwise tree,
+/// so the same plan gives the same bits (another slot count: near only).
+struct SourceSumPlan {
+  int team = 1;
+  int slots = 0;                   ///< 0 when serial
+  std::uint64_t buffer_bytes = 0;  ///< slots * 8n + team * workspace
+};
+
+/// The largest team t <= threads whose slot count
+/// S = min(2t, num_sources, (budget - t * workspace) / 8n) is >= t;
+/// serial (one workspace) below a team of two.
+SourceSumPlan plan_source_sum(std::int64_t n, std::int64_t num_sources,
+                              int threads, std::uint64_t budget_bytes,
+                              std::uint64_t workspace_bytes);
+
+/// Work booked per source after a parallel plan's region, where profiling
+/// is suspended (a serial plan's spans record their own).
+struct SourceWork {
+  std::int64_t vertices = 0;
+  std::int64_t edges = 0;
+};
+
+/// out += every source's contribution under `plan`: fn(worker, i, into)
+/// adds source i's into `into`, with workspace number `worker` in
+/// [0, plan.team). A free thread takes the free slot with the lowest
+/// pending source; an exception from fn stops the sum and is rethrown.
+void sum_over_sources(
+    std::int64_t num_sources, const SourceSumPlan& plan,
+    SourceWork per_source, std::span<double> out,
+    const std::function<void(int, std::int64_t, std::span<double>)>& fn);
 
 }  // namespace graphct

@@ -140,7 +140,7 @@ TEST(BcPlanTest, BudgetArithmetic) {
   const std::uint64_t gib = std::uint64_t{1} << 30;
   const auto wide = plan_betweenness(200, 10, 4, gib);
   EXPECT_EQ(wide.team, 4);
-  EXPECT_EQ(wide.buffer_bytes, 4u * 1600u);
+  EXPECT_EQ(wide.buffer_bytes, 8u * 1600u);
   EXPECT_EQ(plan_betweenness(200, 3, 8, gib).team, 3);
 
   // One thread, one source, or a budget below two buffers: fine, with no
@@ -272,13 +272,13 @@ void expect_scores_bitwise_equal(const std::vector<double>& a,
   }
 }
 
-TEST(BcPlanTest, DefaultPlanRunsOneBufferPerThread) {
+TEST(BcPlanTest, DefaultPlanRunsTwoSlotsPerThread) {
   const auto g = star_graph(16);
   set_num_threads(4);
   const auto r = betweenness_centrality(g);  // 16 sources, 1 GiB budget
   set_num_threads(0);
   EXPECT_EQ(r.plan.team, 4);
-  EXPECT_EQ(r.plan.buffer_bytes, 4u * 16u * sizeof(double));
+  EXPECT_EQ(r.plan.buffer_bytes, 8u * 16u * sizeof(double));
   EXPECT_DOUBLE_EQ(r.score[0], 15.0 * 14.0);  // the hub carries every pair
 }
 
@@ -320,8 +320,8 @@ TEST(BcPlanTest, CoarseModeMatchesAcrossThreadCounts) {
   // Regression: exclusive_scan once returned a stale 0 total for nested
   // callers, truncating every BFS level to empty — coarse multi-thread
   // runs silently produced all-zero scores while every threads=1 and
-  // fine-mode test stayed green. Scores reassociate across the per-thread
-  // buffers (dynamic source assignment), hence near, not bitwise.
+  // fine-mode test stayed green. The slot count follows the thread count,
+  // so scores reassociate across thread counts, hence near, not bitwise.
   RmatOptions ro;
   ro.scale = 10;
   ro.edge_factor = 16;
