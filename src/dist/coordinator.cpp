@@ -651,7 +651,9 @@ void Coordinator::shutdown() {
       c.send(Msg::kShutdown, "");
       Msg type;
       std::string payload;
-      c.recv(type, payload);  // best-effort ack
+      // Best-effort ack: the worker is told to stop either way, so neither
+      // the reply nor its absence changes what happens next.
+      (void)c.recv(type, payload);
     } catch (const std::exception&) {
       // Teardown is best-effort by design; a dead worker is already gone.
     }

@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -19,18 +20,18 @@ struct ProblemLine {
 };
 
 // Parse one nonnegative integer starting at text[pos]; advances pos.
-// Returns -1 when no digits are present.
+// Returns -1 when no digits are present; throws when the value exceeds int64.
 std::int64_t parse_int(std::string_view text, std::size_t& pos) {
   while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
   if (pos >= text.size() || !std::isdigit(static_cast<unsigned char>(text[pos]))) {
     return -1;
   }
   std::int64_t v = 0;
-  while (pos < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[pos]))) {
-    v = v * 10 + (text[pos] - '0');
-    ++pos;
-  }
+  const auto [end, ec] =
+      std::from_chars(text.data() + pos, text.data() + text.size(), v);
+  GCT_CHECK(ec != std::errc::result_out_of_range,
+            "DIMACS: integer out of range: " + std::string(text));
+  pos = static_cast<std::size_t>(end - text.data());
   return v;
 }
 

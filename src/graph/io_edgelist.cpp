@@ -1,6 +1,7 @@
 #include "graph/io_edgelist.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -28,21 +29,20 @@ EdgeList parse_edge_list(std::string_view text) {
     if (line.empty() || line[0] == '#' || line[0] == '%' || line[0] == 'c') {
       continue;
     }
-    std::int64_t vals[2];
+    std::int64_t vals[2] = {};
     std::size_t q = 0;
     for (int k = 0; k < 2; ++k) {
       while (q < line.size() && (line[q] == ' ' || line[q] == '\t')) ++q;
-      bool any = false;
-      std::int64_t v = 0;
-      while (q < line.size() &&
-             std::isdigit(static_cast<unsigned char>(line[q]))) {
-        v = v * 10 + (line[q] - '0');
-        ++q;
-        any = true;
-      }
-      GCT_CHECK(any, "edge list line " + std::to_string(lineno) +
-                         ": expected two vertex ids");
-      vals[k] = v;
+      GCT_CHECK(q < line.size() &&
+                    std::isdigit(static_cast<unsigned char>(line[q])),
+                "edge list line " + std::to_string(lineno) +
+                    ": expected two vertex ids");
+      const auto [end, ec] =
+          std::from_chars(line.data() + q, line.data() + line.size(), vals[k]);
+      GCT_CHECK(ec != std::errc::result_out_of_range,
+                "edge list line " + std::to_string(lineno) +
+                    ": vertex id out of range");
+      q = static_cast<std::size_t>(end - line.data());
     }
     el.add(vals[0], vals[1]);
   }

@@ -1,6 +1,7 @@
 #include "graph/io_metis.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -41,11 +42,12 @@ std::vector<std::int64_t> parse_ints(std::string_view line, int lineno) {
               "METIS line " + std::to_string(lineno) +
                   ": expected an unsigned integer");
     std::int64_t v = 0;
-    while (i < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[i]))) {
-      v = v * 10 + (line[i] - '0');
-      ++i;
-    }
+    const auto [end, ec] =
+        std::from_chars(line.data() + i, line.data() + line.size(), v);
+    GCT_CHECK(ec != std::errc::result_out_of_range,
+              "METIS line " + std::to_string(lineno) +
+                  ": integer out of range");
+    i = static_cast<std::size_t>(end - line.data());
     out.push_back(v);
   }
   return out;

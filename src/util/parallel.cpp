@@ -115,44 +115,6 @@ std::int64_t exclusive_scan_inplace(std::vector<std::int64_t>& v) {
                         std::span<std::int64_t>(v.data(), v.size()));
 }
 
-std::int64_t reduce_sum(std::span<const std::int64_t> v) {
-  std::int64_t s = 0;
-  const std::int64_t n = static_cast<std::int64_t>(v.size());
-#pragma omp parallel for reduction(+ : s) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) s += v[static_cast<std::size_t>(i)];
-  return s;
-}
-
-double reduce_sum(std::span<const double> v) {
-  double s = 0;
-  const std::int64_t n = static_cast<std::int64_t>(v.size());
-#pragma omp parallel for reduction(+ : s) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) s += v[static_cast<std::size_t>(i)];
-  return s;
-}
-
-std::int64_t reduce_max(std::span<const std::int64_t> v,
-                        std::int64_t identity) {
-  std::int64_t m = identity;
-  const std::int64_t n = static_cast<std::int64_t>(v.size());
-#pragma omp parallel for reduction(max : m) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i)
-    m = std::max(m, v[static_cast<std::size_t>(i)]);
-  return m;
-}
-
-void parallel_fill(std::span<std::int64_t> v, std::int64_t value) {
-  const std::int64_t n = static_cast<std::int64_t>(v.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = value;
-}
-
-void parallel_fill(std::span<double> v, double value) {
-  const std::int64_t n = static_cast<std::int64_t>(v.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = value;
-}
-
 std::vector<std::int64_t> sample_sources(std::int64_t n,
                                          std::int64_t num_sources,
                                          std::uint64_t seed) {

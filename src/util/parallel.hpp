@@ -55,18 +55,6 @@ std::int64_t exclusive_scan(std::span<const std::int64_t> in,
 /// In-place exclusive prefix sum over a vector; returns the total.
 std::int64_t exclusive_scan_inplace(std::vector<std::int64_t>& v);
 
-/// Parallel sum reduction.
-std::int64_t reduce_sum(std::span<const std::int64_t> v);
-double reduce_sum(std::span<const double> v);
-
-/// Parallel maximum; returns `identity` for an empty span.
-std::int64_t reduce_max(std::span<const std::int64_t> v,
-                        std::int64_t identity = 0);
-
-/// Fill a span with a value in parallel.
-void parallel_fill(std::span<std::int64_t> v, std::int64_t value);
-void parallel_fill(std::span<double> v, double value);
-
 // ---- Source-parallel sums (bc, kbc, closeness; paper §II-B) ----
 
 /// Default cap on a source sum's buffer and workspace bytes (1 GiB).

@@ -68,6 +68,17 @@ TEST(DimacsParseTest, ZeroVertexIdThrows) {
   EXPECT_THROW(parse_dimacs("p sp 2 1\na 0 1 1\n"), Error);
 }
 
+// 2^64 + 1 wraps to 1 in 64-bit arithmetic; the readers must reject it,
+// not read it as vertex 1.
+TEST(DimacsParseTest, OversizedVertexIdThrows) {
+  try {
+    parse_dimacs("a 18446744073709551617 2 1\n");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
+  }
+}
+
 TEST(DimacsRoundTripTest, UndirectedGraphSurvives) {
   const auto g = make_undirected(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 3}});
   const std::string text = to_dimacs(g);
@@ -227,6 +238,16 @@ TEST(EdgeListIoTest, MalformedLineThrows) {
   EXPECT_THROW(parse_edge_list("a b\n"), Error);
 }
 
+TEST(EdgeListIoTest, OversizedVertexIdThrows) {
+  try {
+    parse_edge_list("18446744073709551617 2\n");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1: vertex id out of range"),
+              std::string::npos);
+  }
+}
+
 TEST(EdgeListIoTest, RoundTrip) {
   const auto g = make_undirected(5, {{0, 4}, {1, 2}, {2, 3}});
   const auto g2 = build_csr(parse_edge_list(to_edge_list(g)));
@@ -296,6 +317,16 @@ TEST(MetisIoTest, RejectsBadCounts) {
   EXPECT_THROW(parse_metis("3 1\n2\n1\n"), Error);
   // Neighbor id out of range.
   EXPECT_THROW(parse_metis("2 1\n5\n\n"), Error);
+}
+
+TEST(MetisIoTest, OversizedHeaderCountThrows) {
+  try {
+    parse_metis("2 18446744073709551617\n2\n1\n");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1: integer out of range"),
+              std::string::npos);
+  }
 }
 
 TEST(MetisIoTest, RejectsDirectedWrite) {

@@ -115,30 +115,6 @@ TEST(ScanTest, CorrectTotalInsideParallelRegion) {
   for (const auto total : totals) EXPECT_EQ(total, 1000);
 }
 
-TEST(ReduceTest, SumAndMax) {
-  std::vector<std::int64_t> v{3, 1, 4, 1, 5, 9, 2, 6};
-  EXPECT_EQ(reduce_sum(std::span<const std::int64_t>(v.data(), v.size())), 31);
-  EXPECT_EQ(reduce_max(std::span<const std::int64_t>(v.data(), v.size())), 9);
-  std::vector<std::int64_t> empty;
-  EXPECT_EQ(reduce_sum(std::span<const std::int64_t>(empty.data(), 0)), 0);
-  EXPECT_EQ(reduce_max(std::span<const std::int64_t>(empty.data(), 0), -7), -7);
-}
-
-TEST(ReduceTest, DoubleSum) {
-  std::vector<double> v(1000, 0.5);
-  EXPECT_DOUBLE_EQ(reduce_sum(std::span<const double>(v.data(), v.size())),
-                   500.0);
-}
-
-TEST(ParallelFillTest, FillsEveryEntry) {
-  std::vector<std::int64_t> v(4567, 0);
-  parallel_fill(std::span<std::int64_t>(v.data(), v.size()), -3);
-  for (auto x : v) ASSERT_EQ(x, -3);
-  std::vector<double> d(123, 0.0);
-  parallel_fill(std::span<double>(d.data(), d.size()), 2.5);
-  for (auto x : d) ASSERT_DOUBLE_EQ(x, 2.5);
-}
-
 TEST(ThreadsTest, NumThreadsPositive) { EXPECT_GE(num_threads(), 1); }
 
 // ---- Source-parallel sums ----

@@ -101,8 +101,10 @@ TEST(HubPersistenceTest, StableHubScoresOne) {
   std::int64_t id = 1;
   for (int hour = 0; hour < 4; ++hour) {
     const std::int64_t base = hour * 3600;
-    tweets.push_back(tw(id++, "u" + std::to_string(id), "@hub again", base + 10));
-    tweets.push_back(tw(id++, "v" + std::to_string(id), "@hub more", base + 20));
+    tweets.push_back(tw(id, "u" + std::to_string(id), "@hub again", base + 10));
+    ++id;
+    tweets.push_back(tw(id, "v" + std::to_string(id), "@hub more", base + 20));
+    ++id;
   }
   tweets.push_back(tw(id++, "w", "@flash once", 3600 + 30));
   std::sort(tweets.begin(), tweets.end(),
@@ -119,7 +121,8 @@ TEST(HubPersistenceTest, BurstyActorScoresLow) {
   std::int64_t id = 1;
   for (int hour = 0; hour < 5; ++hour) {
     const std::int64_t base = hour * 3600;
-    tweets.push_back(tw(id++, "a" + std::to_string(id), "@hub", base + 1));
+    tweets.push_back(tw(id, "a" + std::to_string(id), "@hub", base + 1));
+    ++id;
   }
   // flash gets 2 citations but only within one hour.
   tweets.push_back(tw(id++, "x", "@flash", 2 * 3600 + 100));

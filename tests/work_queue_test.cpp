@@ -117,7 +117,9 @@ TEST(WorkQueueTest, ConcurrentDrainProcessesEverythingOnce) {
   EXPECT_EQ(q.chunks_queued(), 0);
   // With the skew above (all work on one deque), a multi-thread drain must
   // have stolen at least once.
-  if (omp_get_max_threads() > 1) EXPECT_GE(q.steals(), 1);
+  if (omp_get_max_threads() > 1) {
+    EXPECT_GE(q.steals(), 1);
+  }
 }
 
 TEST(WorkQueueTest, StealingForCoversRange) {
