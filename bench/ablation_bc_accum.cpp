@@ -14,8 +14,8 @@
 /// skips the kernel's 32-bit adjacency copy, so the fine row streams the
 /// full-width adjacency. A third decomposition — the distributed path over
 /// loopback workers, which replays the fine accumulation bitwise across
-/// processes — is ablated separately by bench/dist_profile (bc rows; see
-/// docs/DISTRIBUTED.md).
+/// processes — is timed separately by graphct_bench's bc_dist workload
+/// (bench/suite; see docs/DISTRIBUTED.md).
 
 #include <cmath>
 #include <iostream>

@@ -11,7 +11,8 @@
 /// Covers the single-process kernels only; the distributed betweenness
 /// path has its own phase spans (dist.bc.forward / dist.bc.backward /
 /// dist.bc.exchange / dist.bc.gather — see the phase table in
-/// docs/PERFORMANCE.md) and is profiled by bench/dist_profile.
+/// docs/PERFORMANCE.md) and is timed by graphct_bench's bc_dist workload
+/// (bench/suite).
 ///
 /// stdout carries only JSON lines; progress goes to stderr.
 

@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
 
       BfsResult buf;
       BfsOptions bo;
-      bo.compute_parents = false;
       bo.deterministic_order = false;
       const double bfs_s = obs::timed("bench.bfs_sweep", [&] {
         for (vid s = 0; s < 32; ++s) {

@@ -15,9 +15,10 @@
 /// assignment depends only on the neighbor index, so for a fixed adjacency
 /// row the sum is bitwise identical across thread counts, fine/coarse/auto
 /// modes, both forward engines, and the single-process vs distributed
-/// paths (dist_test and bench/dist_profile pin the last one). Change the
-/// lane count, the combine order, or the prefetch distance here and every
-/// parity gate in CI moves together — which is the point of sharing it.
+/// paths (dist_test's DistBcTest cases and graphct_bench's bc_dist workload
+/// pin the last one). Change the lane count, the combine order, or the
+/// prefetch distance here and every parity gate in CI moves together —
+/// which is the point of sharing it.
 ///
 /// Predicates take the neighbor id and return bool; values are looked up
 /// by the same id. The prefetch functor is given ids ~16 neighbors ahead

@@ -52,8 +52,7 @@ BfsScratch& scratch() {
 // on a shared tail. One parallel region end to end, so thread ids are stable
 // and each thread copies its own queue. Returns the new tail.
 eid expand_top_down_queued(const GraphView& g, std::vector<vid>& distance,
-                           std::vector<vid>& parent, std::vector<vid>& order,
-                           eid lo, eid hi, vid depth, bool compute_parents,
+                           std::vector<vid>& order, eid lo, eid hi, vid depth,
                            std::vector<std::int64_t>& offsets) {
   std::int64_t total = 0;
 #pragma omp parallel
@@ -69,7 +68,6 @@ eid expand_top_down_queued(const GraphView& g, std::vector<vid>& distance,
         if (distance[static_cast<std::size_t>(v)] != kNoVertex) continue;
         if (compare_and_swap(distance[static_cast<std::size_t>(v)], kNoVertex,
                              depth)) {
-          if (compute_parents) parent[static_cast<std::size_t>(v)] = u;
           q.push_back(v);
         }
       }
@@ -100,9 +98,8 @@ eid expand_top_down_queued(const GraphView& g, std::vector<vid>& distance,
 // construction — no post-sort, and the result is identical for any thread
 // count.
 void expand_top_down_bitmap(const GraphView& g, std::vector<vid>& distance,
-                            std::vector<vid>& parent, const std::vector<vid>& order,
-                            eid lo, eid hi, vid depth, bool compute_parents,
-                            Bitmap& next) {
+                            const std::vector<vid>& order, eid lo, eid hi,
+                            vid depth, Bitmap& next) {
 #pragma omp parallel for schedule(dynamic, 64)
   for (eid i = lo; i < hi; ++i) {
     const vid u = order[static_cast<std::size_t>(i)];
@@ -110,7 +107,6 @@ void expand_top_down_bitmap(const GraphView& g, std::vector<vid>& distance,
       if (distance[static_cast<std::size_t>(v)] != kNoVertex) continue;
       if (compare_and_swap(distance[static_cast<std::size_t>(v)], kNoVertex,
                            depth)) {
-        if (compute_parents) parent[static_cast<std::size_t>(v)] = u;
         next.set_atomic(v);
       }
     }
@@ -143,9 +139,8 @@ void rebuild_visited(Bitmap& visited, const std::vector<vid>& distance,
 // vertex scans its neighbors for a frontier member (bitmap test) and stops at
 // the first hit.
 void expand_bottom_up(const GraphView& g, std::vector<vid>& distance,
-                      std::vector<vid>& parent, vid depth,
-                      bool compute_parents, const Bitmap& frontier,
-                      Bitmap& visited, Bitmap& next) {
+                      vid depth, const Bitmap& frontier, Bitmap& visited,
+                      Bitmap& next) {
   const std::int64_t nw = visited.num_words();
 #pragma omp parallel for schedule(dynamic, 16)
   for (std::int64_t w = 0; w < nw; ++w) {
@@ -157,7 +152,6 @@ void expand_bottom_up(const GraphView& g, std::vector<vid>& distance,
       for (vid u : g.neighbors(v)) {
         if (frontier.test(u)) {
           distance[static_cast<std::size_t>(v)] = depth;
-          if (compute_parents) parent[static_cast<std::size_t>(v)] = u;
           visited.set_in_word(w, bit);
           next.set_in_word(w, bit);
           break;
@@ -331,7 +325,6 @@ void forward_sweep(const Rows& g, vid bound, eid bound_entries, vid source,
             "bc_forward_sweep: sigma buffer too small");
 
   r.distance.assign(static_cast<std::size_t>(n), kNoVertex);
-  r.parent.clear();
   r.order.resize(static_cast<std::size_t>(n));
   r.level_offsets.assign({0, 1});
   r.distance[static_cast<std::size_t>(source)] = 0;
@@ -450,19 +443,11 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
   {
     GCT_SPAN("bfs.init");
     r.distance.assign(static_cast<std::size_t>(n), kNoVertex);
-    if (opts.compute_parents) {
-      r.parent.assign(static_cast<std::size_t>(n), kNoVertex);
-    } else {
-      r.parent.clear();
-    }
     r.order.resize(static_cast<std::size_t>(n));
     r.level_offsets.assign({0, 1});
   }
 
   r.distance[static_cast<std::size_t>(source)] = 0;
-  if (opts.compute_parents) {
-    r.parent[static_cast<std::size_t>(source)] = source;
-  }
   r.order[0] = source;
 
   const bool dir_opt = opts.strategy == BfsStrategy::kDirectionOptimizing;
@@ -514,8 +499,8 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
                                 hi - lo);
       }
       sc.next.clear();
-      expand_bottom_up(g, r.distance, r.parent, depth, opts.compute_parents,
-                       sc.frontier, sc.visited, sc.next);
+      expand_bottom_up(g, r.distance, depth, sc.frontier, sc.visited,
+                       sc.next);
       {
         GCT_SPAN("bfs.compact");
         tail = hi + compact_set_bits(
@@ -532,8 +517,8 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
       if (profiling) obs::add_work(hi - lo, frontier_edges);
       if (opts.deterministic_order) {
         sc.next.clear();
-        expand_top_down_bitmap(g, r.distance, r.parent, r.order, lo, hi, depth,
-                               opts.compute_parents, sc.next);
+        expand_top_down_bitmap(g, r.distance, r.order, lo, hi, depth,
+                               sc.next);
         {
           GCT_SPAN("bfs.compact");
           tail = hi + compact_set_bits(
@@ -548,8 +533,7 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
           frontier_bitmap_valid = false;
         }
       } else {
-        tail = expand_top_down_queued(g, r.distance, r.parent, r.order, lo, hi,
-                                      depth, opts.compute_parents,
+        tail = expand_top_down_queued(g, r.distance, r.order, lo, hi, depth,
                                       sc.queue_offsets);
         frontier_bitmap_valid = false;
       }
@@ -597,7 +581,6 @@ Subgraph ego_network(const CsrGraph& g, vid center, vid radius) {
   GCT_CHECK(radius >= 0, "ego_network: radius must be >= 0");
   BfsOptions opts;
   opts.max_depth = radius;
-  opts.compute_parents = false;
   const BfsResult r = bfs(g, center, opts);
   std::vector<char> mask(static_cast<std::size_t>(g.num_vertices()), 0);
   for (vid v : r.order) mask[static_cast<std::size_t>(v)] = 1;

@@ -62,22 +62,12 @@ struct BfsOptions {
   /// accumulations are order-invariant, and the per-thread discovery queues
   /// skip the bitmap's O(n/64) per-level scan on high-diameter graphs.
   bool deterministic_order = true;
-
-  /// Record shortest-path parents. Centrality kernels disable this — they
-  /// recover predecessors from distances — saving one n-sized array per
-  /// search. When false, BfsResult::parent is left empty.
-  bool compute_parents = true;
 };
 
 /// Result of one BFS.
 struct BfsResult {
   /// distance[v] = hop count from the source, or kNoVertex if unreached.
   std::vector<vid> distance;
-
-  /// parent[v] = predecessor on one shortest path (source's parent is
-  /// itself); kNoVertex if unreached. Which predecessor wins between ties is
-  /// schedule-dependent; distances and level structure are deterministic.
-  std::vector<vid> parent;
 
   /// Vertices in discovery order, grouped by level:
   /// order[level_offsets[d] .. level_offsets[d+1]) is level d.
@@ -149,8 +139,7 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
 /// directed graph.
 ///
 /// `sigma` must have room for n entries; only entries of reached vertices
-/// are written (each exactly once — no pre-clearing needed). `r.parent` is
-/// left empty (Brandes recovers predecessors from distances).
+/// are written (each exactly once — no pre-clearing needed).
 void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
                       std::vector<double>& sigma);
 

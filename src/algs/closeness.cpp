@@ -27,8 +27,7 @@ ClosenessResult closeness_centrality(const GraphView& g,
   // middle, exactly where bottom-up wins. Harmonic sums are per-vertex adds
   // of 1/d, so level order does not affect scores.
   const BfsOptions bopts{.strategy = BfsStrategy::kDirectionOptimizing,
-                         .deterministic_order = false,
-                         .compute_parents = false};
+                         .deterministic_order = false};
   std::vector<BfsResult> searches(static_cast<std::size_t>(plan.team));
   {
     GCT_SPAN("closeness.bfs");

@@ -21,12 +21,10 @@ DiameterEstimate estimate_diameter(const GraphView& g,
   est.samples_used = k;
 
   vid longest = 0;
-  // Coarse parallelism across sources mirrors the paper's betweenness
-  // decomposition; each BFS also parallelizes internally, which is what
-  // matters once graphs dwarf the sample count.
+  // The sources run one after another; the parallelism is inside each BFS,
+  // whose levels expand across the team.
   BfsOptions bopts;
   bopts.deterministic_order = false;  // only the depth is consumed
-  bopts.compute_parents = false;
   BfsResult buffer;
   for (vid s : sources) {
     GCT_SPAN("diameter.bfs");
@@ -43,7 +41,6 @@ vid exact_diameter(const GraphView& g) {
   vid diameter = 0;
   BfsOptions bopts;
   bopts.deterministic_order = false;
-  bopts.compute_parents = false;
   BfsResult buffer;
   for (vid s = 0; s < n; ++s) {
     bfs_into(g, s, bopts, buffer);

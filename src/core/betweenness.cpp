@@ -52,7 +52,6 @@ void forward_push_directed(const GraphView& g, vid s, BfsResult& b,
                            std::vector<double>& sigma) {
   BfsOptions bopts;
   bopts.deterministic_order = g.store_backed();
-  bopts.compute_parents = false;  // predecessors come from distances
   {
     // Spans here record only in the fine plan, where this runs on the
     // orchestrating thread; coarse team workers have no sink.

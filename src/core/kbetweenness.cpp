@@ -52,7 +52,6 @@ void accumulate_source_kbc(const GraphView& g, vid s, KbcWorkspace& ws,
   // bit-identical to the top-down engine this replaces.
   bopts.strategy = BfsStrategy::kDirectionOptimizing;
   bopts.deterministic_order = true;
-  bopts.compute_parents = false;
   BfsResult& b = ws.bfs_buffer;
   bfs_into(g, s, bopts, b);
   const auto& dist = b.distance;

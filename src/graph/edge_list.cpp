@@ -1,6 +1,9 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <limits>
+
+#include "util/error.hpp"
 
 namespace graphct {
 
@@ -13,6 +16,9 @@ vid EdgeList::inferred_num_vertices() const {
     const Edge& e = edges_[static_cast<std::size_t>(i)];
     maxid = std::max(maxid, std::max(e.src, e.dst));
   }
+  GCT_CHECK(maxid < std::numeric_limits<vid>::max(),
+            "edge list: vertex id " + std::to_string(maxid) +
+                " out of range: the vertex count would overflow");
   return std::max(n, maxid + 1);
 }
 

@@ -43,6 +43,8 @@ class EdgeList {
   void set_num_vertices_hint(vid n) { hint_ = n; }
 
   /// Largest endpoint id + 1, or the hint if larger; 0 for an empty list.
+  /// Throws graphct::Error when an endpoint is the largest vid, whose
+  /// count would overflow.
   [[nodiscard]] vid inferred_num_vertices() const;
 
  private:

@@ -67,9 +67,11 @@ JobQueue::JobQueue(int num_workers, QueueLimits limits) : limits_(limits) {
 
 JobQueue::~JobQueue() { shutdown(); }
 
-std::uint64_t JobQueue::enqueue(std::string session, std::string graph_key,
-                                std::string command, Work work, int threads,
-                                OnTerminal on_terminal) {
+JobQueue::SubmitResult JobQueue::try_submit(std::string session,
+                                            std::string graph_key,
+                                            std::string command, Work work,
+                                            int threads,
+                                            OnTerminal on_terminal) {
   auto job = std::make_shared<Internal>();
   job->work = std::move(work);
   job->on_terminal = std::move(on_terminal);
@@ -77,45 +79,7 @@ std::uint64_t JobQueue::enqueue(std::string session, std::string graph_key,
   job->record.session = std::move(session);
   job->record.graph_key = std::move(graph_key);
   job->record.command = std::move(command);
-  std::uint64_t id;
-  OnTerminal fire;  // shutdown path: cancelled immediately
-  JobRecord fired_record;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = next_id_++;
-    job->record.id = id;
-    if (shutdown_) {
-      job->record.state = JobState::kCancelled;
-      job->record.error = "server shutting down";
-      fired_record = job->record;
-      fire = std::move(job->on_terminal);
-      jobs_.emplace(id, std::move(job));
-    } else {
-      const std::string& s = job->record.session;
-      auto [it, fresh] = pending_by_session_.try_emplace(s);
-      if (fresh) rotation_.push_back(s);
-      it->second.push_back(id);
-      ++pending_total_;
-      note_queue_depth(pending_total_);
-      jobs_.emplace(id, job);
-    }
-  }
-  if (fire) fire(fired_record);
-  work_cv_.notify_one();
-  return id;
-}
-
-std::uint64_t JobQueue::submit(std::string session, std::string graph_key,
-                               std::string command, Work work, int threads) {
-  return enqueue(std::move(session), std::move(graph_key), std::move(command),
-                 std::move(work), threads, {});
-}
-
-JobQueue::SubmitResult JobQueue::try_submit(std::string session,
-                                            std::string graph_key,
-                                            std::string command, Work work,
-                                            int threads,
-                                            OnTerminal on_terminal) {
+  std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) return {Admission::kShedShutdown, 0};
@@ -126,24 +90,24 @@ JobQueue::SubmitResult JobQueue::try_submit(std::string session,
           .add();
       return {Admission::kShedQueueFull, 0};
     }
-    if (limits_.max_queued_per_session > 0) {
-      auto it = pending_by_session_.find(session);
-      if (it != pending_by_session_.end() &&
-          it->second.size() >=
-              static_cast<std::size_t>(limits_.max_queued_per_session)) {
-        obs::registry()
-            .counter("gct_jobs_shed_total{reason=\"session_full\"}")
-            .add();
-        return {Admission::kShedSessionFull, 0};
-      }
+    auto& pending = pending_by_session_[job->record.session];
+    if (limits_.max_queued_per_session > 0 &&
+        pending.size() >=
+            static_cast<std::size_t>(limits_.max_queued_per_session)) {
+      obs::registry()
+          .counter("gct_jobs_shed_total{reason=\"session_full\"}")
+          .add();
+      return {Admission::kShedSessionFull, 0};
     }
+    id = next_id_++;
+    job->record.id = id;
+    if (pending.empty()) rotation_.push_back(job->record.session);
+    pending.push_back(id);
+    ++pending_total_;
+    note_queue_depth(pending_total_);
+    jobs_.emplace(id, std::move(job));
   }
-  // Admission raced with other submitters between the check and the
-  // enqueue; the bound is approximate by one or two jobs under heavy
-  // contention, which is fine for shedding purposes.
-  const std::uint64_t id =
-      enqueue(std::move(session), std::move(graph_key), std::move(command),
-              std::move(work), threads, std::move(on_terminal));
+  work_cv_.notify_one();
   return {Admission::kAdmitted, id};
 }
 

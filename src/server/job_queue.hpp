@@ -119,17 +119,12 @@ class JobQueue {
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
 
-  /// Enqueue a job, bypassing admission limits (compat path; also used by
-  /// trusted in-process embedders). Jobs with the same non-empty
-  /// `graph_key` execute serially; within a session, FIFO. `threads` > 0
-  /// pins the job's OpenMP parallelism. Returns the job id.
-  std::uint64_t submit(std::string session, std::string graph_key,
-                       std::string command, Work work, int threads = 0);
-
-  /// Enqueue a job subject to admission limits. Sheds (without creating a
-  /// job record) when the global or per-session backlog is full or the
-  /// queue is shutting down; `on_terminal`, when set, fires exactly once
-  /// with the terminal record of an admitted job — including jobs
+  /// Enqueue a job subject to admission limits. Jobs with the same
+  /// non-empty `graph_key` execute serially; within a session, FIFO.
+  /// `threads` > 0 pins the job's OpenMP parallelism. Sheds (without
+  /// creating a job record) when the global or per-session backlog is full
+  /// or the queue is shutting down; `on_terminal`, when set, fires exactly
+  /// once with the terminal record of an admitted job — including jobs
   /// cancelled by shutdown — so event-driven transports never wait on a
   /// job that cannot finish.
   SubmitResult try_submit(std::string session, std::string graph_key,
@@ -179,9 +174,6 @@ class JobQueue {
   std::uint64_t take_runnable_locked();
   /// Remove `id` from its session's pending deque; requires mu_ held.
   void unqueue_locked(const std::shared_ptr<Internal>& job);
-  std::uint64_t enqueue(std::string session, std::string graph_key,
-                        std::string command, Work work, int threads,
-                        OnTerminal on_terminal);
 
   QueueLimits limits_;
   mutable std::mutex mu_;

@@ -1,5 +1,6 @@
 #include "util/framing.hpp"
 
+#include <charconv>
 #include <cstring>
 
 #include "util/checksum.hpp"
@@ -82,14 +83,11 @@ bool parse_text_header(std::string_view line, TextHeader& out) {
   if (line.substr(0, kLines.size()) != kLines) return false;
   line.remove_prefix(kLines.size());
   std::size_t lines = 0;
-  std::size_t digits = 0;
-  while (digits < line.size() && line[digits] >= '0' && line[digits] <= '9') {
-    lines = lines * 10 + static_cast<std::size_t>(line[digits] - '0');
-    ++digits;
-  }
-  if (digits == 0) return false;
+  const auto [end, ec] =
+      std::from_chars(line.data(), line.data() + line.size(), lines);
+  if (ec != std::errc()) return false;  // no digits, or beyond size_t
   out.lines = lines;
-  line.remove_prefix(digits);
+  line.remove_prefix(static_cast<std::size_t>(end - line.data()));
 
   out.request_id.clear();
   constexpr std::string_view kId = " id=";

@@ -59,7 +59,8 @@ struct TextHeader {
 };
 
 /// Parse one framed-v1 header line (no trailing '\n'). Returns false when
-/// `line` is not a well-formed `gct/1` header.
+/// `line` is not a well-formed `gct/1` header, including a `lines=` count
+/// that does not fit size_t.
 bool parse_text_header(std::string_view line, TextHeader& out);
 
 // ---------------------------------------------------------------------------

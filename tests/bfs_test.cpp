@@ -20,7 +20,6 @@ TEST(BfsTest, SingleVertex) {
   EXPECT_EQ(r.num_reached(), 1);
   EXPECT_EQ(r.max_distance(), 0);
   EXPECT_EQ(r.distance[0], 0);
-  EXPECT_EQ(r.parent[0], 0);
 }
 
 TEST(BfsTest, PathDistances) {
@@ -47,21 +46,6 @@ TEST(BfsTest, DisconnectedVerticesUnreached) {
   EXPECT_EQ(r.num_reached(), 2);
   EXPECT_EQ(r.distance[3], kNoVertex);
   EXPECT_EQ(r.distance[4], kNoVertex);
-  EXPECT_EQ(r.parent[3], kNoVertex);
-}
-
-TEST(BfsTest, ParentsFormATree) {
-  const auto g = erdos_renyi(200, 600, 11);
-  const auto r = bfs(g, 0);
-  for (vid v = 0; v < g.num_vertices(); ++v) {
-    if (r.distance[static_cast<std::size_t>(v)] == kNoVertex) continue;
-    if (v == 0) continue;
-    const vid p = r.parent[static_cast<std::size_t>(v)];
-    ASSERT_NE(p, kNoVertex);
-    EXPECT_EQ(r.distance[static_cast<std::size_t>(p)] + 1,
-              r.distance[static_cast<std::size_t>(v)]);
-    EXPECT_TRUE(g.has_edge(p, v));
-  }
 }
 
 TEST(BfsTest, OrderGroupsLevelsAndIsSortedWithinLevel) {
@@ -116,15 +100,6 @@ TEST(BfsTest, DirectionOptimizingRequiresUndirected) {
   BfsOptions o;
   o.strategy = BfsStrategy::kDirectionOptimizing;
   EXPECT_THROW(bfs(g, 0, o), Error);
-}
-
-TEST(BfsTest, NoParentsOptionLeavesParentEmpty) {
-  const auto g = path_graph(6);
-  BfsOptions o;
-  o.compute_parents = false;
-  const auto r = bfs(g, 0, o);
-  EXPECT_TRUE(r.parent.empty());
-  EXPECT_EQ(r.distance[5], 5);
 }
 
 TEST(BfsTest, BfsIntoReusesBuffersAcrossSources) {

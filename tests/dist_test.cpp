@@ -76,6 +76,9 @@ TEST(PartitionTest, BlocksAreContiguousAndCoverEveryVertex) {
     }
     EXPECT_EQ(expect_begin, g.num_vertices());
     EXPECT_EQ(entries, g.num_adjacency_entries());
+    EXPECT_GE(p.edge_cut_fraction(), 0.0);
+    EXPECT_LE(p.edge_cut_fraction(), 1.0);
+    EXPECT_GE(p.imbalance(), 1.0);  // max over mean
   }
 }
 
@@ -175,20 +178,26 @@ void expect_cc_parity(const CsrGraph& g, int workers) {
   });
 }
 
+/// Dist pagerank on `c` against the single-process `expect`.
+void expect_pr_matches(Coordinator& c, const PageRankResult& expect,
+                       int workers) {
+  const auto got = c.pagerank();
+  ASSERT_EQ(got.score.size(), expect.score.size());
+  EXPECT_EQ(got.iterations, expect.iterations);
+  EXPECT_EQ(got.converged, expect.converged);
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < got.score.size(); ++i) {
+    max_abs = std::max(max_abs, std::fabs(got.score[i] - expect.score[i]));
+  }
+  // Identical adjacency-order accumulation; only the dangling-mass
+  // reduction order differs from the OpenMP single-process kernel.
+  EXPECT_LE(max_abs, 1e-12) << "pagerank parity failed, workers=" << workers;
+}
+
 void expect_pr_parity(const CsrGraph& g, int workers) {
   const auto expect = pagerank(g);
   with_coordinator(g, workers, [&](Coordinator& c) {
-    const auto got = c.pagerank();
-    ASSERT_EQ(got.score.size(), expect.score.size());
-    EXPECT_EQ(got.iterations, expect.iterations);
-    EXPECT_EQ(got.converged, expect.converged);
-    double max_abs = 0.0;
-    for (std::size_t i = 0; i < got.score.size(); ++i) {
-      max_abs = std::max(max_abs, std::fabs(got.score[i] - expect.score[i]));
-    }
-    // Identical adjacency-order accumulation; only the dangling-mass
-    // reduction order differs from the OpenMP single-process kernel.
-    EXPECT_LE(max_abs, 1e-12) << "pr parity failed, workers=" << workers;
+    expect_pr_matches(c, expect, workers);
   });
 }
 
@@ -266,17 +275,33 @@ TEST(DistParityTest, ReloadingADifferentGraphWorks) {
 
 TEST(DistParityTest, StatsCountTrafficAndSteps) {
   const CsrGraph g = test_rmat(9, false);
+  const std::vector<vid> bc_sources = {0, 1, 2};
   with_coordinator(g, 2, [&](Coordinator& c) {
-    const DistStats before = c.stats();
+    DistStats before = c.stats();
     EXPECT_GT(before.messages_sent, 0);  // hello + load traffic
+    std::int64_t steps = 0;
+    // The kernel that just ran counted its own traffic and supersteps.
+    const auto expect_counted = [&](const char* kernel) {
+      const DistStats& k = c.last_kernel_stats();
+      EXPECT_GT(k.steps, 0) << kernel;
+      EXPECT_GT(k.messages_sent, 0) << kernel;
+      EXPECT_GT(k.bytes_sent, 0) << kernel;
+      EXPECT_GT(k.bytes_received, 0) << kernel;
+      const DistStats after = c.stats();
+      EXPECT_GE(after.messages_sent, before.messages_sent + k.messages_sent)
+          << kernel;
+      steps += k.steps;
+      EXPECT_EQ(after.steps, steps) << kernel;
+      before = after;
+    };
     c.bfs_distances(0);
-    const DistStats& k = c.last_kernel_stats();
-    EXPECT_GT(k.steps, 0);
-    EXPECT_GT(k.messages_sent, 0);
-    EXPECT_GT(k.bytes_received, 0);
-    const DistStats after = c.stats();
-    EXPECT_GE(after.messages_sent, before.messages_sent + k.messages_sent);
-    EXPECT_EQ(after.steps, k.steps);
+    expect_counted("bfs");
+    c.components();
+    expect_counted("components");
+    c.pagerank();
+    expect_counted("pagerank");
+    c.betweenness(bc_sources);
+    expect_counted("bc");
   });
 }
 
@@ -628,18 +653,24 @@ TEST(DistWorkerTest, WorkersRunAtTheirConfiguredThreadCount) {
 TEST(DistForkTest, ForkedWorkersMatchSingleProcess) {
   // Genuine multi-process execution: each worker is a fork()ed child.
   const CsrGraph g = test_rmat(10, false);
-  LocalWorkerSetOptions wopts;
-  wopts.num_workers = 2;
-  wopts.fork_mode = true;
-  LocalWorkerSet workers(wopts);
-  ASSERT_TRUE(workers.fork_mode());
-  Coordinator coord;
-  coord.connect(workers.ports());
-  coord.load_graph(g);
-  EXPECT_EQ(coord.components(), weak_components(g));
-  EXPECT_EQ(coord.bfs_distances(0), bfs(g, 0).distance);
-  coord.shutdown();
-  workers.stop();  // children exited on kShutdown; reap must not hang
+  const auto components = weak_components(g);
+  const auto distances = bfs(g, 0).distance;
+  const auto ranks = pagerank(g);
+  for (const int w : {1, 2, 4}) {
+    LocalWorkerSetOptions wopts;
+    wopts.num_workers = w;
+    wopts.fork_mode = true;
+    LocalWorkerSet workers(wopts);
+    ASSERT_TRUE(workers.fork_mode());
+    Coordinator coord;
+    coord.connect(workers.ports());
+    coord.load_graph(g);
+    EXPECT_EQ(coord.components(), components) << "workers=" << w;
+    EXPECT_EQ(coord.bfs_distances(0), distances) << "workers=" << w;
+    expect_pr_matches(coord, ranks, w);
+    coord.shutdown();
+    workers.stop();  // children exited on kShutdown; reap must not hang
+  }
 }
 
 /// Fork-mode workers with OpenMP teams of their own are safe only when

@@ -108,6 +108,8 @@ TEST(TextHeaderTest, RejectsMalformedHeaders) {
   EXPECT_FALSE(parse_text_header("gct/1 ok", h));
   EXPECT_FALSE(parse_text_header("gct/1 ok lines=", h));
   EXPECT_FALSE(parse_text_header("gct/1 ok count=3", h));
+  // 2^64 + 1 does not fit size_t; it must not wrap to 1.
+  EXPECT_FALSE(parse_text_header("gct/1 ok lines=18446744073709551617", h));
 }
 
 TEST(TextReplyTest, CountLines) {

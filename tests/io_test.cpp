@@ -246,6 +246,9 @@ TEST(EdgeListIoTest, OversizedVertexIdThrows) {
     EXPECT_NE(std::string(e.what()).find("line 1: vertex id out of range"),
               std::string::npos);
   }
+  // INT64_MAX fits the reader's type, but the vertex count it implies does
+  // not.
+  EXPECT_THROW(build_csr(parse_edge_list("9223372036854775807 0\n")), Error);
 }
 
 TEST(EdgeListIoTest, RoundTrip) {

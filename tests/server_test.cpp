@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -28,8 +29,10 @@
 #include "gen/rmat.hpp"
 #include "gen/shapes.hpp"
 #include "graph/io_dimacs.hpp"
+#include "obs/metrics.hpp"
 #include "server/server.hpp"
 #include "util/error.hpp"
+#include "util/framing.hpp"
 #include "util/parallel.hpp"
 
 namespace graphct::server {
@@ -232,13 +235,22 @@ TEST(GraphRegistryTest, ListReportsSessionsHoldingTheGraph) {
 
 // ------------------------------------------------------------ job queue --
 
+/// try_submit() that the test expects to be admitted; returns the job id.
+std::uint64_t admit(JobQueue& q, std::string session, std::string graph_key,
+                    std::string command, JobQueue::Work work) {
+  const auto r = q.try_submit(std::move(session), std::move(graph_key),
+                              command, std::move(work));
+  EXPECT_EQ(r.admission, Admission::kAdmitted) << command;
+  return r.id;
+}
+
 TEST(JobQueueTest, RunsJobAndRecordsAccounting) {
   JobQueue q(2);
-  const auto id = q.submit("s1", "graph:g", "print graph",
-                           [](JobCounters& c) -> std::string {
-                             c.cache_hits = 3;
-                             return "out\n";
-                           });
+  const auto id = admit(q, "s1", "graph:g", "print graph",
+                        [](JobCounters& c) -> std::string {
+                          c.cache_hits = 3;
+                          return "out\n";
+                        });
   const JobRecord r = q.wait(id);
   EXPECT_EQ(r.state, JobState::kDone);
   EXPECT_EQ(r.output, "out\n");
@@ -249,7 +261,7 @@ TEST(JobQueueTest, RunsJobAndRecordsAccounting) {
 
 TEST(JobQueueTest, FailureIsCapturedNotThrown) {
   JobQueue q(1);
-  const auto id = q.submit("s1", "", "bad", [](JobCounters&) -> std::string {
+  const auto id = admit(q, "s1", "", "bad", [](JobCounters&) -> std::string {
     throw Error("kernel exploded");
   });
   const JobRecord r = q.wait(id);
@@ -262,12 +274,12 @@ TEST(JobQueueTest, CancelQueuedJob) {
   std::promise<void> release;
   auto released = release.get_future().share();
   const auto blocker =
-      q.submit("s1", "graph:a", "slow", [released](JobCounters&) {
+      admit(q, "s1", "graph:a", "slow", [released](JobCounters&) {
         released.wait();
         return std::string("done\n");
       });
-  const auto victim = q.submit("s1", "graph:b", "never",
-                               [](JobCounters&) { return std::string(); });
+  const auto victim = admit(q, "s1", "graph:b", "never",
+                            [](JobCounters&) { return std::string(); });
   EXPECT_TRUE(q.cancel(victim));
   EXPECT_FALSE(q.cancel(victim));  // already terminal
   release.set_value();
@@ -282,7 +294,7 @@ TEST(JobQueueTest, SameGraphJobsNeverOverlap) {
   std::atomic<int> max_running{0};
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 8; ++i) {
-    ids.push_back(q.submit("s1", "graph:same", "job", [&](JobCounters&) {
+    ids.push_back(admit(q, "s1", "graph:same", "job", [&](JobCounters&) {
       const int now = running.fetch_add(1) + 1;
       int prev = max_running.load();
       while (now > prev && !max_running.compare_exchange_weak(prev, now)) {
@@ -305,12 +317,12 @@ TEST(JobQueueTest, DifferentGraphJobsRunConcurrently) {
   std::promise<void> a_started, b_started;
   auto a_fut = a_started.get_future().share();
   auto b_fut = b_started.get_future().share();
-  const auto a = q.submit("s1", "graph:a", "a", [&](JobCounters&) {
+  const auto a = admit(q, "s1", "graph:a", "a", [&](JobCounters&) {
     a_started.set_value();
     EXPECT_EQ(b_fut.wait_for(5s), std::future_status::ready);
     return std::string();
   });
-  const auto b = q.submit("s2", "graph:b", "b", [&](JobCounters&) {
+  const auto b = admit(q, "s2", "graph:b", "b", [&](JobCounters&) {
     b_started.set_value();
     EXPECT_EQ(a_fut.wait_for(5s), std::future_status::ready);
     return std::string();
@@ -331,7 +343,7 @@ TEST(JobQueueTest, TrySubmitShedsWhenGlobalQueueFull) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> running{false};
-  q.submit("a", "graph:block", "blocker", [&](JobCounters&) {
+  admit(q, "a", "graph:block", "blocker", [&](JobCounters&) {
     running.store(true);
     released.wait();
     return std::string();
@@ -360,7 +372,7 @@ TEST(JobQueueTest, TrySubmitShedsPerSessionBeforeGlobal) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> running{false};
-  q.submit("x", "graph:block", "blocker", [&](JobCounters&) {
+  admit(q, "x", "graph:block", "blocker", [&](JobCounters&) {
     running.store(true);
     released.wait();
     return std::string();
@@ -384,7 +396,7 @@ TEST(JobQueueTest, RoundRobinRunsSecondSessionBeforeBurstFinishes) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> running{false};
-  q.submit("x", "graph:block", "blocker", [&](JobCounters&) {
+  admit(q, "x", "graph:block", "blocker", [&](JobCounters&) {
     running.store(true);
     released.wait();
     return std::string();
@@ -404,10 +416,10 @@ TEST(JobQueueTest, RoundRobinRunsSecondSessionBeforeBurstFinishes) {
     };
   };
   std::vector<std::uint64_t> ids;
-  ids.push_back(q.submit("burst", "graph:b1", "b1", tagged("burst1")));
-  ids.push_back(q.submit("burst", "graph:b2", "b2", tagged("burst2")));
-  ids.push_back(q.submit("burst", "graph:b3", "b3", tagged("burst3")));
-  ids.push_back(q.submit("late", "graph:l", "l1", tagged("late")));
+  ids.push_back(admit(q, "burst", "graph:b1", "b1", tagged("burst1")));
+  ids.push_back(admit(q, "burst", "graph:b2", "b2", tagged("burst2")));
+  ids.push_back(admit(q, "burst", "graph:b3", "b3", tagged("burst3")));
+  ids.push_back(admit(q, "late", "graph:l", "l1", tagged("late")));
 
   release.set_value();
   for (const auto id : ids) {
@@ -423,7 +435,7 @@ TEST(JobQueueTest, CancelPendingFiresOnTerminalAndDrainCompletes) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> running{false};
-  q.submit("x", "graph:block", "blocker", [&](JobCounters&) {
+  admit(q, "x", "graph:block", "blocker", [&](JobCounters&) {
     running.store(true);
     released.wait();
     return std::string();
@@ -601,7 +613,7 @@ TEST(ServerTest, ConcurrentSessionsOnDifferentGraphsMakeProgress) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> blocker_running{false};
-  srv.jobs().submit("test", "graph:g1", "blocker", [&](JobCounters&) {
+  admit(srv.jobs(), "test", "graph:g1", "blocker", [&](JobCounters&) {
     blocker_running.store(true);
     released.wait();
     return std::string();
@@ -747,6 +759,45 @@ TEST(ServerTest, ConcurrentMixedKernelsMatchSingleThreadedRun) {
   EXPECT_GE(stats.hits, kThreads * kRounds - stats.misses);
 }
 
+// The server's cache budget reaches the kernel cache of every graph it
+// registers. 64 bc queries with distinct keys make ~0.5 MiB of results
+// against a 256 KiB budget: resident bytes stay within it and entries evict.
+TEST(ServerTest, CacheBudgetBoundsResidentBytesThroughTheServer) {
+  constexpr std::uint64_t kBudget = 256 << 10;
+  ServerOptions opts = fast_server_opts(2);
+  opts.limits.cache_budget_bytes = kBudget;
+  opts.interpreter.toolkit.estimate_diameter_on_load = false;
+  Server srv(opts);
+  RmatOptions r;
+  r.scale = 10;
+  r.edge_factor = 8;
+  r.seed = 42;
+  srv.registry().add("g", rmat_graph(r));
+
+  // Both metrics are process-wide. No other cache changes during this test,
+  // so growth past the baseline is this server's.
+  auto& resident = obs::registry().gauge("gct_result_cache_resident_bytes");
+  auto& evictions =
+      obs::registry().counter("gct_result_cache_evictions_total");
+  const double baseline = resident.value();
+  const std::int64_t evicted_before = evictions.value();
+
+  auto session = srv.open_session("budget");
+  session->handle_line("use graph g");
+  session->handle_line("threads 1");  // keeps the TSan job fast
+  double resident_max = 0.0;
+  for (int i = 0; i < 64; ++i) {
+    // Distinct MiB budgets make distinct cache keys: every query misses.
+    const std::string resp =
+        session->handle_line("bc 2 " + std::to_string(1001 + i));
+    ASSERT_NE(resp.find("\nok job="), std::string::npos) << resp;
+    resident_max = std::max(resident_max, resident.value() - baseline);
+  }
+  EXPECT_GT(resident_max, 0.0);
+  EXPECT_LE(resident_max, static_cast<double>(kBudget));
+  EXPECT_GT(evictions.value() - evicted_before, 0);
+}
+
 // ------------------------------------------------------------- framing --
 
 TEST(SessionFramingTest, CompatEchoesRequestIds) {
@@ -810,14 +861,17 @@ TEST(SessionFramingTest, ShedRequestsReportBusyInBothFramings) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> running{false};
-  srv.jobs().submit("test", "graph:block", "blocker", [&](JobCounters&) {
-    running.store(true);
-    released.wait();
-    return std::string();
-  });
+  // The blocker holds its own copy of the future: the test returns while
+  // the worker may still be waking from it.
+  admit(srv.jobs(), "test", "graph:block", "blocker",
+        [&running, released](JobCounters&) {
+          running.store(true);
+          released.wait();
+          return std::string();
+        });
   while (!running.load()) std::this_thread::yield();
-  srv.jobs().submit("test", "graph:block", "filler",
-                    [](JobCounters&) { return std::string(); });
+  admit(srv.jobs(), "test", "graph:block", "filler",
+        [](JobCounters&) { return std::string(); });
 
   auto s = srv.open_session("shed");
   const std::string compat = s->handle_line("@4 generate rmat 5 4");
@@ -889,6 +943,20 @@ struct TestClient {
     }
     return out;
   }
+
+  /// One framed-v1 reply: its header line, parsed into `h`, then the payload
+  /// lines the header counts. False on a malformed header or a closed
+  /// stream.
+  bool read_v1_reply(std::string& header, framing::TextHeader& h) {
+    if (!read_line(header) || !framing::parse_text_header(header, h)) {
+      return false;
+    }
+    std::string line;
+    for (std::size_t i = 0; i < h.lines; ++i) {
+      if (!read_line(line)) return false;
+    }
+    return true;
+  }
 };
 
 /// serve_tcp on a background thread, bound to an ephemeral port.
@@ -908,39 +976,120 @@ struct TcpFixture {
   }
 };
 
+/// True when a compat reply's terminator starts with `prefix`.
+bool terminated_by(const std::vector<std::string>& reply,
+                   const std::string& prefix) {
+  return !reply.empty() && reply.back().rfind(prefix, 0) == 0;
+}
+
+/// The hits and misses of a reply's ` cache=<hits>/<misses>` accounting;
+/// {-1, -1} when the line carries none.
+std::pair<long, long> cache_traffic(const std::string& line) {
+  long hits = -1, misses = -1;
+  const auto pos = line.find(" cache=");
+  if (pos == std::string::npos ||
+      std::sscanf(line.c_str() + pos, " cache=%ld/%ld", &hits, &misses) != 2) {
+    return {-1, -1};
+  }
+  return {hits, misses};
+}
+
+// 200 connections open at once on one event loop. Even clients stay in
+// compat framing and pipeline two reads the warm cache answers; odd clients
+// switch to framed v1 and ask for bc with source counts no other request
+// uses, so both of their requests miss the cache. Every connection must be
+// accepted and every request answered, each with the cache path it took.
 TEST(ServerTcpTest, ServesManyConnectionsFromOneEventLoop) {
   TcpFixture fx(fast_server_opts(2));
   fx.srv.registry().add("g", star_of_cliques(3, 5));
+  {
+    auto warm = fx.srv.open_session("warm");
+    warm->handle_line("use graph g");
+    warm->handle_line("print degrees");
+    warm->handle_line("print components");
+  }
 
-  constexpr int kClients = 16;
-  std::vector<std::thread> clients;
+  // Each thread owns 10 connections, so at most 20 connects wait in the
+  // listen backlog at a time, and all 200 stay open until every one is set
+  // up.
+  constexpr std::size_t kThreads = 20;
+  constexpr std::size_t kPerThread = 10;
+  constexpr std::size_t kClients = kThreads * kPerThread;
+  const int port = fx.srv.port();
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> answered{0};
   std::atomic<int> failures{0};
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      TestClient c;
-      std::string line;
-      if (!c.connect_to(fx.srv.port()) || !c.read_line(line) ||
-          line.rfind("graphctd ready", 0) != 0) {
-        failures.fetch_add(1);
-        return;
+  std::vector<std::thread> client_threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    client_threads.emplace_back([&, t] {
+      const auto open = [port](TestClient& c, bool v1) {
+        std::string line;
+        if (!c.connect_to(port) || !c.read_line(line) ||
+            line.rfind("graphctd ready", 0) != 0) {
+          return false;
+        }
+        // The proto ack still arrives in compat framing.
+        if (v1 && !(c.send_text("proto v1\n") &&
+                    terminated_by(c.read_reply(), "ok"))) {
+          return false;
+        }
+        if (!c.send_text("use graph g\n")) return false;
+        if (!v1) return terminated_by(c.read_reply(), "ok");
+        framing::TextHeader h;
+        return c.read_v1_reply(line, h) &&
+               h.status == framing::TextReply::Status::kOk;
+      };
+      // One reply to the request tagged `id`: cached in compat framing,
+      // uncached in framed v1.
+      const auto answer_ok = [](TestClient& c, bool v1, const char* id) {
+        if (!v1) {
+          const auto reply = c.read_reply();
+          if (!terminated_by(reply, std::string("ok id=") + id)) return false;
+          const auto [hits, misses] = cache_traffic(reply.back());
+          return hits > 0 && misses == 0;
+        }
+        std::string header;
+        framing::TextHeader h;
+        return c.read_v1_reply(header, h) &&
+               h.status == framing::TextReply::Status::kOk &&
+               h.request_id == id && cache_traffic(header).second > 0;
+      };
+
+      std::vector<TestClient> clients(kPerThread);
+      std::vector<bool> live(kPerThread);
+      for (std::size_t k = 0; k < kPerThread; ++k) {
+        live[k] = open(clients[k], k % 2 == 1);
+        if (!live[k]) failures.fetch_add(1);
       }
-      c.send_text("use graph g\n");
-      if (c.read_reply().back().rfind("ok", 0) != 0) failures.fetch_add(1);
-      // Pipelined pair with request ids: responses come back in order,
-      // each tagged, so the client can match them without guessing.
-      c.send_text("@a print degrees\n@b print components\n");
-      const auto first = c.read_reply();
-      const auto second = c.read_reply();
-      if (first.empty() || first.back().rfind("ok id=a", 0) != 0 ||
-          second.empty() || second.back().rfind("ok id=b", 0) != 0) {
-        failures.fetch_add(1);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+
+      for (std::size_t k = 0; k < kPerThread; ++k) {
+        if (!live[k]) continue;
+        const std::size_t sources = 1000 + 2 * (t * kPerThread + k);
+        live[k] = clients[k].send_text(
+            k % 2 == 1 ? "@a bc " + std::to_string(sources) + "\n@b bc " +
+                             std::to_string(sources + 1) + "\n"
+                       : "@a print degrees\n@b print components\n");
       }
-      c.send_text("quit\n");
-      if (c.read_line(line)) failures.fetch_add(1);  // quit closes, silently
+      for (std::size_t k = 0; k < kPerThread; ++k) {
+        if (!live[k]) continue;
+        for (const char* id : {"a", "b"}) {
+          if (answer_ok(clients[k], k % 2 == 1, id)) {
+            answered.fetch_add(1);
+          } else {
+            failures.fetch_add(1);
+          }
+        }
+        std::string line;
+        clients[k].send_text("quit\n");
+        if (clients[k].read_line(line)) failures.fetch_add(1);  // silent close
+      }
     });
   }
-  for (auto& t : clients) t.join();
+  for (auto& d : client_threads) d.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(answered.load(), 2 * kClients);
 }
 
 TEST(ServerTcpTest, ConnectionCapRefusesWithExplicitError) {
@@ -1021,7 +1170,7 @@ TEST(ServerTcpTest, StopUnderLoadDrainsDeterministically) {
   std::promise<void> release;
   auto released = release.get_future().share();
   std::atomic<bool> running{false};
-  fx->srv.jobs().submit("test", "graph:block", "blocker", [&](JobCounters&) {
+  admit(fx->srv.jobs(), "test", "graph:block", "blocker", [&](JobCounters&) {
     running.store(true);
     released.wait();
     return std::string();

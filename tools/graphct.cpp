@@ -28,7 +28,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -59,6 +58,7 @@
 #include "storage/packed_writer.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/framing.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -191,29 +191,27 @@ int cmd_client(const Cli& cli) {
   std::string buffer;
   char chunk[4096];
   auto drain = [&](bool wait_for_terminator) {
-    int pending_payload = -1;  // payload lines owed by a gct/1 header
+    std::size_t pending_payload = 0;  // payload lines owed by a gct/1 header
     for (;;) {
       std::size_t nl;
       while ((nl = buffer.find('\n')) != std::string::npos) {
         const std::string line = buffer.substr(0, nl);
         buffer.erase(0, nl + 1);
         std::cout << line << "\n" << std::flush;
-        if (pending_payload >= 0) {
-          if (--pending_payload < 0) return true;
+        if (pending_payload > 0) {
+          if (--pending_payload == 0) return true;
           continue;
         }
-        if (line.rfind("gct/1 ", 0) == 0) {
-          // Framed v1 reply: the header declares its payload length, so
-          // count lines instead of scanning for a terminator.
-          const std::size_t pos = line.find(" lines=");
-          const int n =
-              pos == std::string::npos ? 0 : std::atoi(line.c_str() + pos + 7);
-          if (n <= 0) return true;
-          pending_payload = n - 1;
+        // Framed v1 reply: the header declares its payload length, so
+        // count lines instead of scanning for a terminator.
+        framing::TextHeader header;
+        if (framing::parse_text_header(line, header) && header.lines > 0) {
+          pending_payload = header.lines;
           continue;
         }
-        if (line.rfind("ok", 0) == 0 || line.rfind("error", 0) == 0 ||
-            line.rfind("graphctd", 0) == 0) {
+        // An empty or malformed gct/1 header ends the reply here.
+        if (line.rfind("gct/1 ", 0) == 0 || line.rfind("ok", 0) == 0 ||
+            line.rfind("error", 0) == 0 || line.rfind("graphctd", 0) == 0) {
           return true;
         }
       }
