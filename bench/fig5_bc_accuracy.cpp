@@ -10,6 +10,7 @@
 ///
 ///   ./fig5_bc_accuracy [--scale 1.0] [--realizations 10] [--quick]
 
+#include <cmath>
 #include <iostream>
 
 #include "algs/connected_components.hpp"
@@ -58,7 +59,8 @@ int main(int argc, char** argv) {
         std::vector<std::vector<double>> overlap(4);
         for (std::int64_t rep = 0; rep < reps; ++rep) {
           BetweennessOptions o;
-          o.sample_fraction = frac;
+          o.num_sources = static_cast<std::int64_t>(
+              std::ceil(frac * static_cast<double>(g.num_vertices())));
           o.seed = 2000 + static_cast<std::uint64_t>(rep);
           const auto approx = betweenness_centrality(g, o);
           const std::span<const double> approx_scores(approx.score.data(),

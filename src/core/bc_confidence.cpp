@@ -32,7 +32,6 @@ BcConfidenceResult bc_confidence(const CsrGraph& g,
     BetweennessOptions o;
     o.num_sources = std::min<std::int64_t>(opts.num_sources, n);
     o.seed = seeder.next_u64();
-    o.sampling = opts.sampling;
     o.rescale = true;  // unbiased magnitude across replicates
     auto res = betweenness_centrality(g, o);
     r.sources_per_replicate = res.sources_used;

@@ -35,7 +35,6 @@ struct BcConfidenceOptions {
   double top_percent = 1.0;
 
   std::uint64_t seed = 1;
-  BcSampling sampling = BcSampling::kUniform;
 };
 
 /// Result of a confidence run.

@@ -1,20 +1,15 @@
 #include "core/betweenness.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <unordered_map>
 
 #include "algs/bc_accum.hpp"
 #include "algs/bc_layout.hpp"
 #include "algs/bfs.hpp"
-#include "algs/connected_components.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/work_queue.hpp"
 
 namespace graphct {
@@ -237,93 +232,7 @@ void accumulate_source(const GraphView& g, const BcLayout& layout, vid s,
   backward_sweep(g, s, b, ws, score, layout, nthreads, profiling);
 }
 
-std::vector<vid> sample_component_aware(const GraphView& g, std::int64_t k,
-                                        Rng& rng) {
-  const auto labels = connected_components(g);
-  const auto stats = component_stats(labels);
-  const vid n = g.num_vertices();
-
-  // Bucket vertices by component, largest component first.
-  std::vector<std::vector<vid>> buckets;
-  std::unordered_map<vid, std::size_t> slot;
-  buckets.reserve(stats.sizes.size());
-  for (const auto& [label, size] : stats.sizes) {
-    slot[label] = buckets.size();
-    buckets.emplace_back();
-    buckets.back().reserve(static_cast<std::size_t>(size));
-  }
-  for (vid v = 0; v < n; ++v) {
-    buckets[slot[labels[static_cast<std::size_t>(v)]]].push_back(v);
-  }
-
-  // Proportional allocation with a floor of one source per component (while
-  // budget lasts, biggest first), so no component is left unsampled — the
-  // failure mode the paper conjectures for unguided sampling (§V).
-  std::vector<std::int64_t> quota(buckets.size(), 0);
-  std::int64_t assigned = 0;
-  for (std::size_t i = 0; i < buckets.size() && assigned < k; ++i) {
-    quota[i] = 1;
-    ++assigned;
-  }
-  while (assigned < k) {
-    // Distribute the remainder proportionally to residual capacity.
-    bool progressed = false;
-    for (std::size_t i = 0; i < buckets.size() && assigned < k; ++i) {
-      const auto cap = static_cast<std::int64_t>(buckets[i].size());
-      if (quota[i] < cap) {
-        const double share = static_cast<double>(cap) /
-                             static_cast<double>(n) *
-                             static_cast<double>(k);
-        if (static_cast<double>(quota[i]) < share || !progressed) {
-          ++quota[i];
-          ++assigned;
-          progressed = true;
-        }
-      }
-    }
-    if (!progressed) break;  // every component saturated
-  }
-
-  std::vector<vid> sources;
-  sources.reserve(static_cast<std::size_t>(k));
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const auto cap = static_cast<std::int64_t>(buckets[i].size());
-    const std::int64_t q = std::min(quota[i], cap);
-    auto picks = rng.sample_without_replacement(cap, q);
-    for (auto p : picks) {
-      sources.push_back(buckets[i][static_cast<std::size_t>(p)]);
-    }
-  }
-  std::sort(sources.begin(), sources.end());
-  return sources;
-}
-
 }  // namespace
-
-BcPlan plan_betweenness(vid n, std::int64_t num_sources, int threads,
-                        std::uint64_t budget_bytes) {
-  return plan_source_sum(n, num_sources, threads, budget_bytes, 0);
-}
-
-std::vector<vid> choose_sources(const GraphView& g,
-                                const BetweennessOptions& opts) {
-  const vid n = g.num_vertices();
-  std::int64_t k = opts.num_sources;
-  if (opts.sample_fraction > 0.0) {
-    GCT_CHECK(opts.sample_fraction <= 1.0,
-              "betweenness: sample_fraction must be in (0, 1]");
-    k = static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(n) * opts.sample_fraction));
-  }
-  // Weak components say nothing about directed reachability, so directed
-  // graphs sample uniformly.
-  if (opts.sampling == BcSampling::kComponentAware && !g.directed() &&
-      k > 0 && k < n) {
-    Rng rng(opts.seed);
-    return sample_component_aware(g, k, rng);
-  }
-  return sample_sources(n, k, opts.seed);
-}
 
 BetweennessResult betweenness_centrality(const GraphView& g,
                                          const BetweennessOptions& opts) {
@@ -335,12 +244,12 @@ BetweennessResult betweenness_centrality(const GraphView& g,
 
   std::vector<vid> sources;
   {
-    GCT_SPAN("bc.choose_sources");
-    sources = choose_sources(g, opts);
+    GCT_SPAN("bc.sample_sources");
+    sources = sample_sources(n, opts.num_sources, opts.seed);
   }
   result.sources_used = static_cast<std::int64_t>(sources.size());
-  result.plan = plan_betweenness(n, result.sources_used, num_threads(),
-                                 opts.score_memory_budget_bytes);
+  result.plan = plan_source_sum(n, result.sources_used, num_threads(),
+                                opts.score_memory_budget_bytes, 0);
 
   // One 32-bit layout for the whole call when ids fit and it fits the
   // score-memory budget (see algs/bc_layout.hpp), with one rule for DRAM

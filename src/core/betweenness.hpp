@@ -11,9 +11,10 @@
 /// §II-A, after Bader et al. 2007). The paper's headline numbers use 256
 /// sampled sources.
 ///
-/// Parallel decomposition mirrors §II-B, chosen by plan_betweenness() from
-/// the thread count and the score-memory budget, and run by
-/// sum_over_sources in util/parallel.hpp:
+/// Sources are drawn by sample_sources() (util/parallel.hpp), the sampler
+/// kbc and closeness share. Parallel decomposition mirrors §II-B, chosen by
+/// plan_source_sum() from the thread count and the score-memory budget, and
+/// run by sum_over_sources in util/parallel.hpp:
 ///  * coarse — independent sources run concurrently across up to two
 ///    private score buffers ("slots") per thread. Slot j sums sources j,
 ///    j + S, ... in order and the slots tree-reduce once at the end, so the
@@ -40,30 +41,15 @@
 
 namespace graphct {
 
-/// How sampled sources are chosen.
-enum class BcSampling {
-  kUniform,         ///< uniform over all vertices (the paper's scheme)
-  kComponentAware,  ///< stratified by component size; addresses the paper's
-                    ///< §V conjecture that unguided sampling misses
-                    ///< components in disconnected graphs
-};
-
 /// Options for betweenness_centrality().
 struct BetweennessOptions {
-  /// Number of sampled source vertices; kNoVertex (or >= n) = exact BC over
-  /// all sources. The paper's massive runs use 256.
+  /// Number of sources, drawn uniformly without replacement by
+  /// sample_sources(n, num_sources, seed); kNoVertex (or >= n) = exact BC
+  /// over all sources. The paper's massive runs use 256; its Figs. 4/5
+  /// sample a fraction f of the nodes, which is ceil(n * f) sources.
   std::int64_t num_sources = kNoVertex;
 
-  /// Alternative sampling spec: fraction of vertices in (0, 1]. Ignored when
-  /// negative; overrides num_sources when set (the paper's Figs. 4/5 sample
-  /// 10%, 25%, 50% of nodes).
-  double sample_fraction = -1.0;
-
   std::uint64_t seed = 1;
-
-  /// Directed graphs always sample uniformly (weak components do not bound
-  /// directed reachability).
-  BcSampling sampling = BcSampling::kUniform;
 
   /// Scale sampled scores by n/num_sources so magnitudes estimate exact BC
   /// (rankings are unaffected; off by default to match GraphCT's raw sums).
@@ -80,22 +66,15 @@ struct BetweennessOptions {
   std::uint64_t score_memory_budget_bytes = kSourceSumBudgetBytes;
 };
 
-/// Execution plan derived from the vertex count, source count, thread
-/// count, and memory budget — exposed so tests can assert the budget
-/// arithmetic without running a kernel. team 1 is the fine plan.
-using BcPlan = SourceSumPlan;
-
 /// Result of a betweenness run.
 struct BetweennessResult {
   std::vector<double> score;      ///< per-vertex centrality
   std::int64_t sources_used = 0;  ///< how many sources were accumulated
   double seconds = 0.0;           ///< kernel wall time (excludes setup)
-  BcPlan plan;                    ///< the plan the kernel ran
+  /// The plan the kernel ran: plan_source_sum(n, sources_used, threads,
+  /// score_memory_budget_bytes, 0). team 1 is the fine plan.
+  SourceSumPlan plan;
 };
-
-/// plan_source_sum(n, num_sources, threads, budget_bytes, 0).
-BcPlan plan_betweenness(vid n, std::int64_t num_sources, int threads,
-                        std::uint64_t budget_bytes);
 
 /// Compute (approximate) betweenness centrality. Self-loops never lie on
 /// shortest paths and are ignored. Undirected graphs count each unordered
@@ -105,10 +84,5 @@ BcPlan plan_betweenness(vid n, std::int64_t num_sources, int threads,
 /// once, and run a top-down push forward pass.
 BetweennessResult betweenness_centrality(const GraphView& g,
                                          const BetweennessOptions& opts = {});
-
-/// Pick the BC source set for the given options — exposed for tests and for
-/// harnesses that must reuse one sample across kernels.
-std::vector<vid> choose_sources(const GraphView& g,
-                                const BetweennessOptions& opts);
 
 }  // namespace graphct

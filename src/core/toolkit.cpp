@@ -8,6 +8,7 @@
 #include "graph/io_dimacs.hpp"
 #include "graph/transforms.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace graphct {
@@ -61,9 +62,7 @@ struct StructBytes {
 
 std::string bc_key(const char* kernel, const BetweennessOptions& o) {
   return std::string(kernel) + "|sources=" + std::to_string(o.num_sources) +
-         "|frac=" + std::to_string(o.sample_fraction) +
          "|seed=" + std::to_string(o.seed) +
-         "|samp=" + std::to_string(static_cast<int>(o.sampling)) +
          "|rescale=" + std::to_string(o.rescale) +
          "|budget=" + std::to_string(o.score_memory_budget_bytes);
 }
@@ -266,7 +265,8 @@ const BetweennessResult& Toolkit::betweenness_dist(
         ensure_dist_loaded(coord, view());
         Timer timer;
         const vid n = view().num_vertices();
-        const std::vector<vid> sources = choose_sources(view(), opts);
+        const std::vector<vid> sources =
+            sample_sources(n, opts.num_sources, opts.seed);
         // The workers replay the fine plan source by source, which is the
         // default result.plan.
         BetweennessResult result;

@@ -172,8 +172,8 @@ class Toolkit {
                                              vid source,
                                              vid max_depth = kNoVertex);
 
-  /// Distributed betweenness: sources are chosen single-process
-  /// (choose_sources, so the sample is identical to the single-process
+  /// Distributed betweenness: sources are drawn single-process
+  /// (sample_sources, so the sample is identical to the single-process
   /// kernel's). Scores are bit-identical to the single-process fine plan
   /// over the same sources.
   const BetweennessResult& betweenness_dist(dist::Coordinator& coord,

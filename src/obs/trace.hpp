@@ -125,8 +125,8 @@ class Span {
 ///   * as the outermost scope on the thread: records the run into the
 ///     metrics registry (gct_kernel_runs_total / gct_kernel_seconds) and,
 ///     when profiling is enabled, collects a KernelProfile;
-///   * nested inside another KernelScope (bfs inside bc, components inside
-///     sampling): degrades to a plain phase span.
+///   * nested inside another KernelScope (one kernel called from another's
+///     body): degrades to a plain phase span.
 class KernelScope {
  public:
   explicit KernelScope(const char* kernel);

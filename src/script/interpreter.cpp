@@ -59,8 +59,7 @@ struct Interpreter::Impl {
   /// next dist kernel simply gets a fresh set.
   struct DistCtx {
     int requested = 0;  ///< worker count; 0 = distribution off
-    bool fork_mode = false;
-    int threads = 1;  ///< OpenMP threads per worker (`threads=k`)
+    int threads = 1;    ///< OpenMP threads per worker (`threads=k`)
     std::unique_ptr<dist::LocalWorkerSet> workers;
     std::unique_ptr<dist::Coordinator> coord;
     std::int64_t bound_epoch = -1;  ///< graph_epoch the coordinator loaded
@@ -105,7 +104,6 @@ struct Interpreter::Impl {
       drop_dist_workers();
       dist::LocalWorkerSetOptions wo;
       wo.num_workers = dist_ctx.requested;
-      wo.fork_mode = dist_ctx.fork_mode;
       wo.threads = dist_ctx.threads;
       dist_ctx.workers = std::make_unique<dist::LocalWorkerSet>(wo);
       dist_ctx.coord = std::make_unique<dist::Coordinator>();
@@ -389,14 +387,15 @@ void Interpreter::execute(const Command& cmd) {
         << (n == 0 ? "default" : std::to_string(n)) << " (effective "
         << effective << ")\n";
   } else if (verb == "workers") {
-    // workers <n> [fork|threads] [threads=k] | workers off: route
-    // components/pagerank/bfs/bc through n loopback worker processes
-    // (threads by default — cheap and sanitizer-friendly; fork gives
-    // genuine process isolation). threads=k gives every worker its own
-    // k-thread OpenMP team for block-local sweeps (default 1 — serial, so
-    // a one-core host is never oversubscribed). The workers spawn lazily
-    // on the first distributed kernel.
-    require_arity(cmd, 2, 4);
+    // workers <n> [threads=k] | workers off: route components/pagerank/
+    // bfs/bc through n loopback workers, each a thread of this process.
+    // threads=k gives every worker its own k-thread OpenMP team for
+    // block-local sweeps (default 1 — serial, so a one-core host is never
+    // oversubscribed). The workers spawn lazily on the first distributed
+    // kernel. There is no fork mode here: by then this process runs other
+    // threads (job workers, OpenMP teams), and a child forked from it
+    // deadlocks in its first OpenMP team (dist/local_worker_set.hpp).
+    require_arity(cmd, 2, 3);
     const std::string& arg = cmd.tokens[1];
     if (arg == "off") {
       require_arity(cmd, 2, 2);
@@ -408,40 +407,30 @@ void Interpreter::execute(const Command& cmd) {
       GCT_CHECK(n >= 0 && n <= 256,
                 "script line " + std::to_string(cmd.line) +
                     ": worker count must be in [0, 256] (0 = off)");
-      bool fork_mode = false;
       int threads = 1;
-      for (std::size_t t = 2; t < cmd.tokens.size(); ++t) {
-        const std::string& mode = cmd.tokens[t];
-        if (mode == "fork") {
-          fork_mode = true;
-        } else if (mode.rfind("threads=", 0) == 0) {
-          const std::int64_t k =
-              parse_i64(mode.substr(std::string("threads=").size()), cmd);
-          GCT_CHECK(k >= 1 && k <= 256,
-                    "script line " + std::to_string(cmd.line) +
-                        ": worker threads must be in [1, 256]");
-          threads = static_cast<int>(k);
-        } else if (mode != "threads") {
-          throw Error("script line " + std::to_string(cmd.line) +
-                      ": worker mode must be 'fork', 'threads', or "
-                      "'threads=<k>' (got '" + mode + "')");
-        }
+      if (cmd.tokens.size() == 3) {
+        const std::string& opt = cmd.tokens[2];
+        GCT_CHECK(opt.rfind("threads=", 0) == 0,
+                  "script line " + std::to_string(cmd.line) +
+                      ": expected 'threads=<k>' after the worker count (got '" +
+                      opt + "')");
+        const std::int64_t k =
+            parse_i64(opt.substr(std::string("threads=").size()), cmd);
+        GCT_CHECK(k >= 1 && k <= 256,
+                  "script line " + std::to_string(cmd.line) +
+                      ": worker threads must be in [1, 256]");
+        threads = static_cast<int>(k);
       }
-      if (n != im.dist_ctx.requested ||
-          fork_mode != im.dist_ctx.fork_mode ||
-          threads != im.dist_ctx.threads) {
+      if (n != im.dist_ctx.requested || threads != im.dist_ctx.threads) {
         im.drop_dist_workers();
       }
       im.dist_ctx.requested = static_cast<int>(n);
-      im.dist_ctx.fork_mode = fork_mode;
       im.dist_ctx.threads = threads;
       if (n == 0) {
         out << "workers off\n";
       } else {
-        out << "workers set to " << n << " ("
-            << (fork_mode ? "fork" : "threads") << " mode, "
-            << threads << (threads == 1 ? " thread" : " threads")
-            << " each)\n";
+        out << "workers set to " << n << " (threads mode, " << threads
+            << (threads == 1 ? " thread" : " threads") << " each)\n";
       }
     }
   } else if (verb == "partition") {

@@ -45,11 +45,12 @@
 ///   + use graph <name>           (switch to a registry-resident graph)
 ///   + repeat <n> ... end    (the paper's "simple loop structures ... a
 ///     topic for future consideration"; nestable, script-level only)
-///   + workers <n> [fork|threads] [threads=k] | workers off
-///     (route components / pagerank / bfs / bc through n loopback worker
-///     processes via the dist substrate, docs/DISTRIBUTED.md, each running
-///     block-local sweeps on k OpenMP threads; results are identical to
-///     single-process runs — betweenness bit-identically so)
+///   + workers <n> [threads=k] | workers off
+///     (route components / pagerank / bfs / bc through n loopback workers,
+///     threads of this process, via the dist substrate,
+///     docs/DISTRIBUTED.md, each running block-local sweeps on k OpenMP
+///     threads; results are identical to single-process runs —
+///     betweenness bit-identically so)
 ///   + partition info <n>    (the 1-D blocks `workers n` would use:
 ///     per-block vertex/entry counts, edge-cut fraction, imbalance)
 

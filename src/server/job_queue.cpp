@@ -188,6 +188,7 @@ void JobQueue::worker_loop() {
       failed = true;
       error = e.what();
     }
+    job->work = nullptr;  // the record outlives whatever the work captured
     const double run_seconds = run_timer.seconds();
     obs::registry().histogram("gct_job_queue_wait_seconds")
         .observe(job->record.wait_seconds);
@@ -216,6 +217,7 @@ void JobQueue::worker_loop() {
     if (!job->record.graph_key.empty()) {
       busy_graphs_.erase(job->record.graph_key);
     }
+    retire_locked(id);
     terminal_cv_.notify_all();
     // The freed graph may unblock a queued job another worker skipped.
     work_cv_.notify_all();
@@ -263,6 +265,14 @@ void JobQueue::unqueue_locked(const std::shared_ptr<Internal>& job) {
   }
 }
 
+void JobQueue::retire_locked(std::uint64_t id) {
+  finished_.push_back(id);
+  if (finished_.size() > kJobHistory) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
+}
+
 bool JobQueue::cancel(std::uint64_t id) {
   OnTerminal fire;
   JobRecord record;
@@ -279,6 +289,7 @@ bool JobQueue::cancel(std::uint64_t id) {
     obs::registry().counter("gct_job_runs_total{state=\"cancelled\"}").add();
     fire = std::move(job->on_terminal);
     record = job->record;
+    retire_locked(id);
     terminal_cv_.notify_all();
   }
   if (fire) fire(record);
@@ -302,6 +313,7 @@ int JobQueue::cancel_pending() {
         if (job->on_terminal) {
           fired.emplace_back(std::move(job->on_terminal), job->record);
         }
+        retire_locked(id);
         ++cancelled;
       }
     }
@@ -360,6 +372,7 @@ void JobQueue::shutdown() {
         if (job->on_terminal) {
           fired.emplace_back(std::move(job->on_terminal), job->record);
         }
+        retire_locked(id);
       }
     }
     pending_by_session_.clear();

@@ -27,6 +27,7 @@
 /// query being served from cache.
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -39,6 +40,12 @@
 #include <vector>
 
 namespace graphct::server {
+
+/// Finished (done, failed or cancelled) jobs whose records the queue keeps
+/// for wait(), get() and snapshot(). Each job that finishes past this many
+/// drops the oldest finished record; queued and running jobs are always
+/// kept.
+inline constexpr std::size_t kJobHistory = 65536;
 
 /// Lifecycle of a job.
 enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled };
@@ -131,7 +138,9 @@ class JobQueue {
                           std::string command, Work work, int threads = 0,
                           OnTerminal on_terminal = {});
 
-  /// Block until the job reaches a terminal state; returns its record.
+  /// Block until the job reaches a terminal state; returns its record. An
+  /// id never issued, or dropped from the history, returns a failed record
+  /// with the error "unknown job id".
   JobRecord wait(std::uint64_t id);
 
   /// Cancel a job that is still queued. Running jobs are not interrupted
@@ -147,10 +156,12 @@ class JobQueue {
   /// Returns true when the queue drained in time.
   bool drain(double timeout_seconds);
 
-  /// Snapshot one job, or nullopt for an unknown id.
+  /// Snapshot one job, or nullopt for an unknown id (or one dropped from
+  /// the history).
   [[nodiscard]] std::optional<JobRecord> get(std::uint64_t id) const;
 
-  /// Snapshot every job, id order (terminal jobs are retained as history).
+  /// Snapshot every queued and running job and the kJobHistory most
+  /// recently finished ones, id order.
   [[nodiscard]] std::vector<JobRecord> snapshot() const;
 
   /// Queued (not yet running) jobs right now.
@@ -174,12 +185,17 @@ class JobQueue {
   std::uint64_t take_runnable_locked();
   /// Remove `id` from its session's pending deque; requires mu_ held.
   void unqueue_locked(const std::shared_ptr<Internal>& job);
+  /// Note that `id` just reached a terminal state and drop the oldest
+  /// finished record past kJobHistory; requires mu_ held.
+  void retire_locked(std::uint64_t id);
 
   QueueLimits limits_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;      // workers: new runnable work
   std::condition_variable terminal_cv_;  // waiters: a job finished
   std::map<std::uint64_t, std::shared_ptr<Internal>> jobs_;
+  /// Ids of the finished jobs in jobs_, in the order they finished.
+  std::deque<std::uint64_t> finished_;
   /// Queued jobs grouped by session (FIFO within a session)...
   std::map<std::string, std::deque<std::uint64_t>> pending_by_session_;
   /// ...scheduled round-robin in this rotation (front = next to inspect).

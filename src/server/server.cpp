@@ -118,14 +118,11 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
 }
 
 void Server::post_completion(std::uint64_t conn_gen, std::string text) {
-  {
-    std::lock_guard<std::mutex> lock(comp_mu_);
-    completions_.push_back(Completion{conn_gen, std::move(text)});
-  }
-  const int efd = wake_fd_.load();
-  if (efd >= 0) {
+  std::lock_guard<std::mutex> lock(comp_mu_);
+  completions_.push_back(Completion{conn_gen, std::move(text)});
+  if (wake_fd_ >= 0) {
     const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(efd, &one, sizeof(one));
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 }
 
@@ -173,7 +170,10 @@ int Server::serve_tcp(int port, const std::function<void()>& on_listening) {
   };
   add_fd(lfd, EPOLLIN);
   add_fd(efd, EPOLLIN);
-  wake_fd_.store(efd);
+  {
+    std::lock_guard<std::mutex> lock(comp_mu_);
+    wake_fd_ = efd;
+  }
 
   std::map<std::uint64_t, Conn> conns;
   std::unordered_map<int, std::uint64_t> fd_gen;
@@ -433,18 +433,21 @@ int Server::serve_tcp(int port, const std::function<void()>& on_listening) {
     drain_completions();
   }
   while (!conns.empty()) close_conn(conns.begin()->first);
-  wake_fd_.store(-1);
-  ::close(efd);
+  {
+    std::lock_guard<std::mutex> lock(comp_mu_);
+    wake_fd_ = -1;
+    ::close(efd);
+  }
   ::close(epfd);
   return 0;
 }
 
 void Server::request_stop() {
   stopping_.store(true);
-  const int efd = wake_fd_.load();
-  if (efd >= 0) {
+  std::lock_guard<std::mutex> lock(comp_mu_);
+  if (wake_fd_ >= 0) {
     const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(efd, &one, sizeof(one));
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 }
 

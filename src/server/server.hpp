@@ -151,10 +151,13 @@ class Server {
   JobQueue queue_;
   std::atomic<int> next_session_{1};
   std::atomic<int> bound_port_{0};
-  std::atomic<int> wake_fd_{-1};
   std::atomic<bool> stopping_{false};
+  /// Guards completions_ and wake_fd_. Writers to the wake eventfd hold it
+  /// across the write, and serve_tcp holds it to retire and close the fd,
+  /// so no write can land in a closed (or reused) descriptor.
   std::mutex comp_mu_;
   std::vector<Completion> completions_;
+  int wake_fd_ = -1;  ///< the loop's eventfd while serve_tcp runs
 };
 
 }  // namespace graphct::server

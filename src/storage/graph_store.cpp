@@ -19,6 +19,16 @@ std::uint64_t next_store_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Throws unless every id lies in [0, n).
+void check_ids(std::span<const vid> ids, vid n, const std::string& path) {
+  for (const vid u : ids) {
+    GCT_CHECK(static_cast<std::uint64_t>(u) < static_cast<std::uint64_t>(n),
+              "packed graph '" + path + "': neighbor id " +
+                  std::to_string(u) + " outside [0, " + std::to_string(n) +
+                  ") — corrupt file");
+  }
+}
+
 }  // namespace
 
 GraphStore::GraphStore(const std::string& path, const StoreOptions& opts)
@@ -139,6 +149,32 @@ bool GraphStore::sniff(const std::string& path) {
   in.read(magic, sizeof(magic));
   return in.gcount() == sizeof(magic) &&
          std::memcmp(magic, kPackedMagic, 8) == 0;
+}
+
+void GraphStore::check_neighbor_ids() const {
+  if (ids_checked_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(ids_mu_);
+  if (ids_checked_.load(std::memory_order_relaxed)) return;
+  // A throw leaves the flag unset, so every later use of a corrupt store
+  // fails the same way.
+  if (raw_adjacency_ != nullptr) {
+    const auto m = static_cast<std::size_t>(num_adjacency_entries());
+    check_ids({raw_adjacency_, m}, num_vertices(), path());
+  } else {
+    std::vector<vid> ids;
+    for (std::int64_t b = 0; b < num_blocks(); ++b) {
+      const BlockIndexEntry& e = index_[b];
+      const BlockIndexEntry& next = index_[b + 1];
+      const vid fv = static_cast<vid>(e.first_vertex);
+      const vid ev = static_cast<vid>(next.first_vertex);
+      ids.resize(static_cast<std::size_t>(offsets_[ev] - offsets_[fv]));
+      decode_block(codec(), offsets(), fv, ev - fv,
+                   {payload_ + e.byte_offset, next.byte_offset - e.byte_offset},
+                   ids);
+      check_ids(ids, num_vertices(), path());
+    }
+  }
+  ids_checked_.store(true, std::memory_order_release);
 }
 
 std::int64_t GraphStore::block_of(vid v) const {

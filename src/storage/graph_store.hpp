@@ -18,6 +18,7 @@
 /// under nested OpenMP regions (coarse BC teams), where omp_get_thread_num()
 /// is ambiguous — binding is by thread identity, not OpenMP id.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -53,7 +54,8 @@ class GraphStore {
  public:
   /// Open a packed file. Throws graphct::Error on a missing file, bad
   /// magic, version/codec mismatch, size mismatch, or (when requested)
-  /// checksum failure.
+  /// checksum failure. Neighbor ids are checked on first use, see
+  /// check_neighbor_ids().
   explicit GraphStore(const std::string& path, const StoreOptions& opts = {});
 
   GraphStore(const GraphStore&) = delete;
@@ -96,6 +98,16 @@ class GraphStore {
     }
     return cached_neighbors(v, lo, hi);
   }
+
+  /// Throws graphct::Error unless every neighbor id lies in [0, n):
+  /// kernels index per-vertex arrays with them unchecked. The first call
+  /// that succeeds runs one sequential O(m) pass (raw ids scanned in place,
+  /// varint blocks decoded one at a time into a scratch buffer, not through
+  /// the block cache); later calls return at once. GraphView calls it when
+  /// built over a store, so the check runs before any kernel's OpenMP
+  /// region, where a throw would end the process instead of reaching the
+  /// caller.
+  void check_neighbor_ids() const;
 
   /// Non-null iff the pass-through codec is active (adjacency mmap'd raw).
   [[nodiscard]] const vid* raw_adjacency() const { return raw_adjacency_; }
@@ -155,6 +167,9 @@ class GraphStore {
   /// Unique per-store id for thread-local cache binding; a destroyed
   /// store's id is never reused, so stale bindings can never resolve.
   std::uint64_t store_id_ = 0;
+
+  mutable std::mutex ids_mu_;  ///< serializes check_neighbor_ids()
+  mutable std::atomic<bool> ids_checked_{false};
 
   mutable std::mutex caches_mu_;
   mutable std::vector<std::unique_ptr<BlockCache>> caches_;

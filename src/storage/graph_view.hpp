@@ -44,6 +44,8 @@ class GraphView {
         directed_(g.directed()),
         sorted_(g.sorted_adjacency()) {}
 
+  /// Throws graphct::Error when the store holds a neighbor id outside
+  /// [0, n) (GraphStore::check_neighbor_ids, a pass on the first view).
   // NOLINTNEXTLINE(google-explicit-constructor): implicit by design, see above.
   GraphView(const storage::GraphStore& s)
       : store_(&s),
@@ -53,7 +55,9 @@ class GraphView {
         num_entries_(s.num_adjacency_entries()),
         num_self_loops_(s.num_self_loops()),
         directed_(s.directed()),
-        sorted_(s.sorted_adjacency()) {}
+        sorted_(s.sorted_adjacency()) {
+    s.check_neighbor_ids();
+  }
 
   [[nodiscard]] vid num_vertices() const { return num_vertices_; }
   [[nodiscard]] eid num_adjacency_entries() const { return num_entries_; }

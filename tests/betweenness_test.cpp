@@ -11,7 +11,6 @@
 #include "gen/shapes.hpp"
 #include "graph/builder.hpp"
 #include "test_support.hpp"
-#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace graphct {
@@ -131,23 +130,24 @@ TEST(BetweennessTest, FineWhenBudgetTooSmall) {
 
 TEST(BcPlanTest, BudgetArithmetic) {
   // Budget affords 2 buffers for n=200 (1600 B each): team = 2.
-  const auto p = plan_betweenness(/*n=*/200, /*num_sources=*/64,
-                                  /*threads=*/8, /*budget_bytes=*/4000);
+  const auto p = plan_source_sum(/*n=*/200, /*num_sources=*/64,
+                                 /*threads=*/8, /*budget_bytes=*/4000, 0);
   EXPECT_EQ(p.team, 2);
   EXPECT_EQ(p.buffer_bytes, 3200u);
 
   // Plenty of budget: team capped by threads, then by sources.
   const std::uint64_t gib = std::uint64_t{1} << 30;
-  const auto wide = plan_betweenness(200, 10, 4, gib);
+  const auto wide = plan_source_sum(200, 10, 4, gib, 0);
   EXPECT_EQ(wide.team, 4);
   EXPECT_EQ(wide.buffer_bytes, 8u * 1600u);
-  EXPECT_EQ(plan_betweenness(200, 3, 8, gib).team, 3);
+  EXPECT_EQ(plan_source_sum(200, 3, 8, gib, 0).team, 3);
 
   // One thread, one source, or a budget below two buffers: fine, with no
   // buffers at all.
-  for (const BcPlan fine :
-       {plan_betweenness(200, 64, 1, gib), plan_betweenness(200, 1, 8, gib),
-        plan_betweenness(200, 64, 8, 3000), plan_betweenness(200, 64, 8, 100)}) {
+  for (const SourceSumPlan fine :
+       {plan_source_sum(200, 64, 1, gib, 0), plan_source_sum(200, 1, 8, gib, 0),
+        plan_source_sum(200, 64, 8, 3000, 0),
+        plan_source_sum(200, 64, 8, 100, 0)}) {
     EXPECT_EQ(fine.team, 1);
     EXPECT_EQ(fine.buffer_bytes, 0u);
   }
@@ -182,15 +182,6 @@ TEST(BetweennessTest, RescaleMatchesMagnitudeInExpectation) {
   EXPECT_NEAR(sum_approx / sum_exact, 1.0, 0.25);
 }
 
-TEST(BetweennessTest, SampleFractionOverridesNumSources) {
-  const auto g = erdos_renyi(100, 300, 11);
-  BetweennessOptions o;
-  o.num_sources = 3;
-  o.sample_fraction = 0.25;
-  const auto r = betweenness_centrality(g, o);
-  EXPECT_EQ(r.sources_used, 25);
-}
-
 TEST(BetweennessTest, DeterministicForFixedSeed) {
   const auto g = erdos_renyi(100, 400, 13);
   BetweennessOptions o;
@@ -199,53 +190,6 @@ TEST(BetweennessTest, DeterministicForFixedSeed) {
   const auto a = betweenness_centrality(g, o);
   const auto b = betweenness_centrality(g, o);
   expect_scores_near(a.score, b.score, 0.0);
-}
-
-TEST(ChooseSourcesTest, ExactUsesAllVertices) {
-  const auto g = path_graph(7);
-  BetweennessOptions o;
-  const auto s = choose_sources(g, o);
-  EXPECT_EQ(s.size(), 7u);
-}
-
-TEST(ChooseSourcesTest, UniformSampleSizeAndRange) {
-  const auto g = erdos_renyi(500, 1000, 17);
-  BetweennessOptions o;
-  o.num_sources = 50;
-  const auto s = choose_sources(g, o);
-  EXPECT_EQ(s.size(), 50u);
-  std::set<vid> uniq(s.begin(), s.end());
-  EXPECT_EQ(uniq.size(), 50u);
-}
-
-TEST(ChooseSourcesTest, ComponentAwareCoversEveryComponent) {
-  // Five components; uniform sampling of 5 sources will often miss some,
-  // but component-aware sampling must hit all five.
-  EdgeList el(50);
-  for (vid c = 0; c < 5; ++c) {
-    const vid base = c * 10;
-    for (vid i = 0; i < 9; ++i) el.add(base + i, base + i + 1);
-  }
-  const auto g = build_csr(el);
-  BetweennessOptions o;
-  o.num_sources = 5;
-  o.sampling = BcSampling::kComponentAware;
-  o.seed = 3;
-  const auto sources = choose_sources(g, o);
-  ASSERT_EQ(sources.size(), 5u);
-  std::set<vid> comps;
-  for (vid s : sources) comps.insert(s / 10);
-  EXPECT_EQ(comps.size(), 5u);
-}
-
-TEST(ChooseSourcesTest, InvalidArgumentsThrow) {
-  const auto g = path_graph(5);
-  BetweennessOptions o;
-  o.num_sources = 0;
-  EXPECT_THROW(choose_sources(g, o), Error);
-  o.num_sources = kNoVertex;
-  o.sample_fraction = 1.5;
-  EXPECT_THROW(choose_sources(g, o), Error);
 }
 
 TEST(BetweennessTest, EmptyGraph) {

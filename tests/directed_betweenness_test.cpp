@@ -91,16 +91,6 @@ TEST(DirectedBcTest, DirectedCycleIsUniform) {
   EXPECT_GT(r.score[0], 0.0);
 }
 
-TEST(DirectedBcTest, ComponentAwareFallsBackToUniform) {
-  const auto g = make_directed(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  BetweennessOptions o;
-  o.num_sources = 3;
-  o.sampling = BcSampling::kComponentAware;
-  // Must not throw (weak components are not used for directed sampling).
-  const auto r = betweenness_centrality(g, o);
-  EXPECT_EQ(r.sources_used, 3);
-}
-
 TEST(DirectedBcTest, SymmetricDigraphMatchesUndirected) {
   // A digraph with both arcs per edge computes the same scores as the
   // undirected graph (each unordered pair counted twice in both).

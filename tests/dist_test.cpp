@@ -314,7 +314,10 @@ std::vector<double> reference_bc(const CsrGraph& g,
                                  const BetweennessOptions& opts,
                                  std::vector<vid>* sources_out = nullptr) {
   const GraphView v(g);
-  if (sources_out) *sources_out = choose_sources(v, opts);
+  if (sources_out) {
+    *sources_out =
+        sample_sources(v.num_vertices(), opts.num_sources, opts.seed);
+  }
   set_num_threads(1);
   auto score = betweenness_centrality(v, opts).score;
   set_num_threads(0);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -81,7 +82,8 @@ TEST(IntegrationTest, ApproximateBcTracksExactOnTweetGraph) {
 
   const auto exact = betweenness_centrality(und);
   BetweennessOptions o;
-  o.sample_fraction = 0.5;
+  o.num_sources = static_cast<std::int64_t>(
+      std::ceil(0.5 * static_cast<double>(und.num_vertices())));
   o.seed = 11;
   const auto approx = betweenness_centrality(und, o);
   const double overlap = top_k_overlap(

@@ -649,6 +649,11 @@ TEST(InterpreterTest, WorkersArgumentValidation) {
   EXPECT_THROW(in.run("workers 2 bogus\n"), graphct::Error);
   EXPECT_THROW(in.run("workers 2 threads=0\n"), graphct::Error);
   EXPECT_THROW(in.run("workers 2 threads=999\n"), graphct::Error);
+  // Workers are threads of this process: there is no fork mode (a child
+  // forked from a multithreaded process deadlocks in OpenMP) and no mode
+  // word to name.
+  EXPECT_THROW(in.run("workers 2 fork\n"), graphct::Error);
+  EXPECT_THROW(in.run("workers 2 threads\n"), graphct::Error);
   in.run("workers off\n");  // valid with no substrate running
   EXPECT_NE(out.str().find("workers off"), std::string::npos);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "algs/assortativity.hpp"
@@ -104,7 +105,8 @@ TEST(ReproductionTest, Fig4_RuntimeLinearInSampledFraction) {
 
   auto run = [&](double frac) {
     BetweennessOptions o;
-    if (frac < 1.0) o.sample_fraction = frac;
+    o.num_sources = static_cast<std::int64_t>(
+        std::ceil(frac * static_cast<double>(g.num_vertices())));
     o.seed = 5;
     return betweenness_centrality(g, o).seconds;
   };
@@ -127,7 +129,8 @@ TEST(ReproductionTest, Fig5_AccuracyRisesWithSampling) {
     double sum = 0;
     for (int rep = 0; rep < 5; ++rep) {
       BetweennessOptions o;
-      o.sample_fraction = frac;
+      o.num_sources = static_cast<std::int64_t>(
+          std::ceil(frac * static_cast<double>(g.num_vertices())));
       o.seed = 40 + static_cast<std::uint64_t>(rep);
       const auto approx = betweenness_centrality(g, o);
       sum += top_k_overlap(

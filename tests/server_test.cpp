@@ -478,6 +478,28 @@ TEST(JobQueueTest, OnTerminalFiresOnNormalCompletion) {
   EXPECT_EQ(rec.counters.cache_hits, 2);
 }
 
+TEST(JobQueueTest, HistoryKeepsTheNewestFinishedJobs) {
+  // One worker and one session run the jobs in id order, so the newest
+  // kJobHistory finished jobs are the highest ids.
+  JobQueue q(1);
+  const std::uint64_t total = kJobHistory + 100;
+  for (std::uint64_t i = 0; i < total; ++i) {
+    ASSERT_EQ(q.try_submit("s", "", "job", noop_job, 1).admission,
+              Admission::kAdmitted);
+  }
+  ASSERT_TRUE(q.drain(120.0));
+  const auto jobs = q.snapshot();
+  ASSERT_EQ(jobs.size(), kJobHistory);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_EQ(jobs[i].id, total - kJobHistory + 1 + i);
+    ASSERT_EQ(jobs[i].state, JobState::kDone);
+  }
+  // A dropped id takes the unknown-id path.
+  EXPECT_FALSE(q.get(1).has_value());
+  EXPECT_EQ(q.wait(1).error, "unknown job id");
+  EXPECT_TRUE(q.get(total).has_value());
+}
+
 TEST(JobQueueTest, TrySubmitAfterShutdownSheds) {
   JobQueue q(1);
   q.shutdown();

@@ -28,6 +28,7 @@
 #include "storage/packed_writer.hpp"
 #include "storage/varint.hpp"
 #include "test_support.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -439,6 +440,59 @@ TEST(PackedStoreTest, TrailerAfterUnalignedPayloadOpensAndVerifies) {
   opts.verify_checksum = true;
   const GraphStore store(f.path, opts);
   expect_store_matches(store, g);
+}
+
+TEST(PackedStoreTest, OutOfRangeNeighborIdThrows) {
+  // One neighbor id patched to n, with the trailer checksum recomputed so
+  // that only the id is wrong. Kernels index per-vertex arrays with the ids
+  // unchecked, so the first kernel must throw (before any OpenMP region),
+  // for either codec, and so must every later one.
+  const CsrGraph g = small_rmat(6);
+  const vid n = g.num_vertices();
+  ASSERT_LT(n, 128);  // so the patched varint id stays one byte long
+  for (const Codec codec : {Codec::kNone, Codec::kVarint}) {
+    TempFile f("gct_storage_bad_id.gctp");
+    PackOptions popts;
+    popts.codec = codec;
+    storage::pack_graph(g, f.path, popts);
+    std::vector<char> bytes(std::filesystem::file_size(f.path));
+    std::ifstream(f.path, std::ios::binary)
+        .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+    // The payload opens with the first id of the first non-empty row: a
+    // raw id, or an absolute varint (gaps start at a row's second id).
+    storage::PackedHeader h{};
+    std::memcpy(&h, bytes.data(), sizeof h);
+    char* id = bytes.data() + h.payload_off;
+    if (codec == Codec::kNone) {
+      std::memcpy(id, &n, sizeof n);
+    } else {
+      ASSERT_EQ(static_cast<unsigned char>(*id) & 0x80u, 0u);
+      *id = static_cast<char>(n);
+    }
+    storage::PackedTrailer t{};
+    const std::size_t body = bytes.size() - sizeof t;
+    std::memcpy(&t, bytes.data() + body, sizeof t);
+    t.checksum = fnv1a64(bytes.data(), body);
+    std::memcpy(bytes.data() + body, &t, sizeof t);
+    std::ofstream(f.path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+    StoreOptions opts;
+    opts.verify_checksum = true;  // passes: only the id is wrong
+    const GraphStore store(f.path, opts);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        bfs(store, 0);
+        FAIL() << "expected Error for codec " << static_cast<int>(codec);
+      } catch (const Error& e) {
+        EXPECT_NE(
+            std::string(e.what()).find("neighbor id 64 outside [0, 64)"),
+            std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------- kernel parity --
