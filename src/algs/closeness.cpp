@@ -47,6 +47,7 @@ ClosenessResult closeness_centrality(const GraphView& g,
               into[static_cast<std::size_t>(b.order[j])] += w;
             }
           }
+          return std::span<const vid>(b.order);
         });
   }
 

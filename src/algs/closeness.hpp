@@ -8,8 +8,8 @@
 /// We use the harmonic variant, sum over t of 1/d(v,t), which is the
 /// disconnected-graph-safe formulation — essential for mention graphs,
 /// whose many components would zero out classic closeness.
-/// Pivots run through betweenness' source sum (util/parallel.hpp),
-/// whose score buffers are capped at the constant kSourceSumBudgetBytes.
+/// Pivots run through betweenness' source sum (util/parallel.hpp): capped
+/// at kSourceSumBudgetBytes, the same bits at any thread count.
 
 #include <cstdint>
 #include <vector>

@@ -266,7 +266,7 @@ BetweennessResult betweenness_centrality(const GraphView& g,
     GCT_SPAN("bc.layout");
     layout = build_bc_layout(g, fold);
   }
-  // Sources run in layout ids, in the order they were drawn (the fine plan
+  // Sources run in layout ids, in the order they were drawn (every plan
   // adds each source's dependencies in source order); scores accumulate in
   // layout ids and map back once at the end.
   std::vector<double> layout_score;
@@ -287,9 +287,10 @@ BetweennessResult betweenness_centrality(const GraphView& g,
     sum_over_sources(
         result.sources_used, result.plan, {n, g.num_adjacency_entries()},
         score, [&](int worker, std::int64_t i, std::span<double> into) {
+          BcWorkspace& ws = workspaces[static_cast<std::size_t>(worker)];
           accumulate_source(g, layout, sources[static_cast<std::size_t>(i)],
-                            workspaces[static_cast<std::size_t>(worker)],
-                            into);
+                            ws, into);
+          return std::span<const vid>(ws.bfs_buffer.order);
         });
   }
   if (layout.folded()) {

@@ -15,16 +15,18 @@
 /// kbc and closeness share. Parallel decomposition mirrors §II-B, chosen by
 /// plan_source_sum() from the thread count and the score-memory budget, and
 /// run by sum_over_sources in util/parallel.hpp:
-///  * coarse — independent sources run concurrently across up to two
-///    private score buffers ("slots") per thread. Slot j sums sources j,
-///    j + S, ... in order and the slots tree-reduce once at the end, so the
-///    same call under the same plan repeats bit for bit; another thread
-///    count changes S and agrees to float noise;
+///  * coarse — independent sources run concurrently, each into its own
+///    score buffer from a ring of up to two per thread, and the buffers
+///    are added into the scores in source order;
 ///  * fine — one source at a time, with the BFS, path-count, and dependency
-///    sweeps parallel across each level. Every write is per-vertex
-///    exclusive, so fine scores are bit-identical for any thread count.
-///    It runs at one thread, and whenever the budget cannot hold two
-///    buffers (huge graphs).
+///    sweeps parallel across each level. It runs at one thread, and
+///    whenever the budget cannot hold two buffers (huge graphs).
+/// A source adds one term per reached vertex and every per-source sum runs
+/// in adjacency order, so both plans make the same adds in the same order:
+/// undirected scores are bit-identical at any thread count and budget.
+/// Directed scores are too while path counts stay below 2^53: the fine
+/// plan at N threads pushes sigma with atomic adds in schedule order, until
+/// directed graphs pull sigma over in-edges as undirected ones do.
 ///
 /// On undirected graphs, in memory or packed, both sweeps read a per-call
 /// int32 layout that folds the degree-1 vertices out of the search

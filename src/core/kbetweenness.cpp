@@ -175,9 +175,10 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
         result.sources_used, plan,
         {n, 2 * (opts.k + 1) * g.num_adjacency_entries()}, result.score,
         [&](int worker, std::int64_t i, std::span<double> into) {
-          accumulate_source_kbc(g, sources[static_cast<std::size_t>(i)],
-                                workspaces[static_cast<std::size_t>(worker)],
+          KbcWorkspace& ws = workspaces[static_cast<std::size_t>(worker)];
+          accumulate_source_kbc(g, sources[static_cast<std::size_t>(i)], ws,
                                 into);
+          return std::span<const vid>(ws.bfs_buffer.order);
         });
   }
   result.seconds = scope.seconds();

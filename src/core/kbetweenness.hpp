@@ -68,7 +68,7 @@ struct KBetweennessOptions {
   /// 1 GiB: each worker's (k+1) x n slack tables plus up to two score
   /// buffers per worker, planned as betweenness plans its slots. Below a
   /// team of two the sources run serially into the scores, so the floor
-  /// is one workspace regardless of budget.
+  /// is one workspace regardless of budget. No budget moves a score bit.
   std::uint64_t score_memory_budget_bytes = kSourceSumBudgetBytes;
 };
 

@@ -63,8 +63,7 @@ struct StructBytes {
 std::string bc_key(const char* kernel, const BetweennessOptions& o) {
   return std::string(kernel) + "|sources=" + std::to_string(o.num_sources) +
          "|seed=" + std::to_string(o.seed) +
-         "|rescale=" + std::to_string(o.rescale) +
-         "|budget=" + std::to_string(o.score_memory_budget_bytes);
+         "|rescale=" + std::to_string(o.rescale);
 }
 
 }  // namespace
@@ -191,8 +190,7 @@ const KBetweennessResult& Toolkit::k_betweenness(
   const std::string key =
       "kbc|k=" + std::to_string(opts.k) +
       "|sources=" + std::to_string(opts.num_sources) +
-      "|seed=" + std::to_string(opts.seed) +
-      "|budget=" + std::to_string(opts.score_memory_budget_bytes);
+      "|seed=" + std::to_string(opts.seed);
   return *cache_->get_or_compute<KBetweennessResult>(
       key, [&] { return k_betweenness_centrality(view(), opts); },
       StructBytes{});

@@ -146,12 +146,14 @@ class Toolkit {
   /// Coreness values (cached).
   const std::vector<std::int64_t>& core_numbers();
 
-  /// Betweenness centrality, cached per distinct option set — centrality
-  /// runs dominate cost, so a server session repeating an earlier query's
-  /// parameters is served the resident result.
+  /// Betweenness centrality, cached per (sources, seed, rescale) — a
+  /// session repeating an earlier query is served the resident result.
+  /// Budget and threads pick only the plan, never a score bit (on a directed
+  /// graph, while path counts stay below 2^53), so they are not in the key;
+  /// `plan` is the computing run's.
   const BetweennessResult& betweenness(const BetweennessOptions& opts = {});
 
-  /// k-betweenness centrality (cached per option set, as above).
+  /// k-betweenness centrality (cached per (k, sources, seed), as above).
   const KBetweennessResult& k_betweenness(const KBetweennessOptions& opts = {});
 
   /// PageRank (cached per option set).

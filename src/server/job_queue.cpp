@@ -163,7 +163,7 @@ void JobQueue::worker_loop() {
     std::shared_ptr<Internal> job = jobs_.at(id);
     job->record.state = JobState::kRunning;
     job->record.wait_seconds = job->queued_at.seconds();
-    ++running_;
+    running_.insert(id);
     if (!job->record.graph_key.empty()) {
       busy_graphs_.insert(job->record.graph_key);
     }
@@ -213,7 +213,7 @@ void JobQueue::worker_loop() {
     job->record.run_seconds = run_seconds;
     job->record.threads = threads_used;
     job->record.counters = counters;
-    --running_;
+    running_.erase(id);
     if (!job->record.graph_key.empty()) {
       busy_graphs_.erase(job->record.graph_key);
     }
@@ -334,7 +334,7 @@ bool JobQueue::drain(double timeout_seconds) {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(timeout_seconds));
   return terminal_cv_.wait_until(lock, deadline, [&] {
-    return pending_total_ == 0 && running_ == 0;
+    return pending_total_ == 0 && running_.empty();
   });
 }
 
@@ -345,11 +345,19 @@ std::optional<JobRecord> JobQueue::get(std::uint64_t id) const {
   return it->second->record;
 }
 
-std::vector<JobRecord> JobQueue::snapshot() const {
+JobQueue::Listing JobQueue::list(std::size_t newest_finished) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<JobRecord> out;
-  out.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) out.push_back(job->record);
+  const std::size_t kept = std::min(newest_finished, finished_.size());
+  std::vector<std::uint64_t> ids(running_.begin(), running_.end());
+  for (const auto& [session, dq] : pending_by_session_) {
+    ids.insert(ids.end(), dq.begin(), dq.end());
+  }
+  ids.insert(ids.end(), finished_.end() - static_cast<std::ptrdiff_t>(kept),
+             finished_.end());
+  std::sort(ids.begin(), ids.end());
+  Listing out{{}, finished_.size() - kept};
+  out.jobs.reserve(ids.size());
+  for (const std::uint64_t id : ids) out.jobs.push_back(jobs_.at(id)->record);
   return out;
 }
 

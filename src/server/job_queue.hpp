@@ -160,9 +160,19 @@ class JobQueue {
   /// the history).
   [[nodiscard]] std::optional<JobRecord> get(std::uint64_t id) const;
 
+  /// Every queued and running job and the `newest_finished` most recently
+  /// finished ones, id order, copying only those records.
+  struct Listing {
+    std::vector<JobRecord> jobs;
+    std::size_t finished_left_out = 0;  ///< older finished records kept
+  };
+  [[nodiscard]] Listing list(std::size_t newest_finished) const;
+
   /// Snapshot every queued and running job and the kJobHistory most
   /// recently finished ones, id order.
-  [[nodiscard]] std::vector<JobRecord> snapshot() const;
+  [[nodiscard]] std::vector<JobRecord> snapshot() const {
+    return list(kJobHistory).jobs;
+  }
 
   /// Queued (not yet running) jobs right now.
   [[nodiscard]] int queued() const;
@@ -201,7 +211,7 @@ class JobQueue {
   /// ...scheduled round-robin in this rotation (front = next to inspect).
   std::deque<std::string> rotation_;
   std::size_t pending_total_ = 0;
-  int running_ = 0;
+  std::set<std::uint64_t> running_;  ///< ids of the running jobs
   std::set<std::string> busy_graphs_;
   std::uint64_t next_id_ = 1;
   bool shutdown_ = false;

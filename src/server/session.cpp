@@ -256,16 +256,19 @@ std::string Session::list_graphs() const {
 }
 
 std::string Session::list_jobs() const {
-  const auto jobs = queue_.snapshot();
-  if (jobs.empty()) return "no jobs\n";
+  const auto listing = queue_.list(kJobsListedFinished);
+  if (listing.jobs.empty()) return "no jobs\n";
   TextTable t({"id", "session", "graph", "state", "command", "wall", "cache"});
-  for (const auto& j : jobs) {
+  for (const auto& j : listing.jobs) {
     t.add_row({std::to_string(j.id), j.session, j.graph_key,
                to_string(j.state), j.command, format_duration(j.run_seconds),
                std::to_string(j.counters.cache_hits) + "/" +
                    std::to_string(j.counters.cache_misses)});
   }
-  return t.render();
+  if (listing.finished_left_out == 0) return t.render();
+  return t.render() +
+         with_commas(static_cast<long long>(listing.finished_left_out)) +
+         " older finished jobs not listed\n";
 }
 
 }  // namespace graphct::server

@@ -9,7 +9,7 @@
 /// server verbs answered inline without queueing:
 ///
 ///   graphs           list registry-resident graphs
-///   jobs             list the job table (state, timings, cache traffic)
+///   jobs             list queued, running and recently finished jobs
 ///   session          this session's name, stack depth, pinned threads
 ///   cancel <id>      cancel a still-queued job
 ///   proto [v1|compat]  report or switch the response framing
@@ -63,6 +63,10 @@
 #include "util/framing.hpp"
 
 namespace graphct::server {
+
+/// Newest finished jobs the `jobs` verb lists beside the queued and
+/// running ones; one line counts the older ones it leaves out.
+inline constexpr std::size_t kJobsListedFinished = 100;
 
 /// One connected analyst.
 class Session {

@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <numeric>
@@ -152,21 +153,46 @@ SourceSumPlan plan_source_sum(std::int64_t n, std::int64_t num_sources,
 void sum_over_sources(
     std::int64_t num_sources, const SourceSumPlan& plan,
     SourceWork per_source, std::span<double> out,
-    const std::function<void(int, std::int64_t, std::span<double>)>& fn) {
+    const std::function<std::span<const std::int64_t>(
+        int, std::int64_t, std::span<double>)>& fn) {
   if (plan.team < 2) {
     for (std::int64_t i = 0; i < num_sources; ++i) fn(0, i, out);
     return;
   }
   GCT_ASSERT(plan.slots >= plan.team);
-  const auto slots = static_cast<std::size_t>(plan.slots);
-  std::vector<std::vector<double>> buffers(
-      slots, std::vector<double>(out.size(), 0.0));
-  // Guarded by `mu`: slot j's next source (j, j + slots, ...), whether a
-  // thread is summing into it, and the first error.
+  const std::int64_t slots = plan.slots;
+  // Commit blocks of kCommitBlock elements; the last may be short or empty.
+  // Small enough that a source reaching a few vertices commits little,
+  // large enough that one reaching them all takes few lock round trips.
+  constexpr std::size_t kCommitBlock = 1024;
+  const std::size_t blocks = out.size() / kCommitBlock + 1;
+  // A ring buffer: its source's terms (zero elsewhere), the blocks they
+  // touch, and once the source is finished its number and the blocks it
+  // has left to commit.
+  struct Slot {
+    std::vector<double> sum;
+    std::vector<char> touched;
+    std::int64_t source = -1;
+    std::size_t left = 0;
+  };
+  std::vector<Slot> ring(static_cast<std::size_t>(slots));
+  for (Slot& r : ring) {
+    r.sum.assign(out.size(), 0.0);
+    r.touched.assign(blocks, 0);
+  }
+  // Guarded by `mu`: the next source to claim; how many sources have
+  // finished; per block, how many sources it has committed and whether a
+  // thread is committing it; how many sources every block has committed
+  // (`freed`); the slots' sources and counts; the first error. Source i owns
+  // slot i mod slots from its claim until it is freed, so a claim waits
+  // only while the slot holds i - slots.
   std::mutex mu;
-  std::vector<std::int64_t> next(slots);
-  std::iota(next.begin(), next.end(), std::int64_t{0});
-  std::vector<char> busy(slots, 0);
+  std::condition_variable progress;
+  std::int64_t next = 0;
+  std::int64_t finished = 0;
+  std::int64_t freed = 0;
+  std::vector<std::int64_t> done(blocks, 0);
+  std::vector<char> busy(blocks, 0);
   std::exception_ptr error;
   {
     // Workers record no spans, and the calling thread's share alone would
@@ -176,48 +202,73 @@ void sum_over_sources(
     {
       const int worker = omp_get_thread_num();
       std::unique_lock<std::mutex> lock(mu);
-      for (;;) {
-        std::size_t pick = slots;
-        for (std::size_t j = 0; j < slots; ++j) {
-          if (!busy[j] && next[j] < num_sources &&
-              (pick == slots || next[j] < next[pick])) {
-            pick = j;
+      // Add every block's finished sources into `out`, each block's in
+      // source order, skipping blocks another thread is committing (it
+      // goes on to the next source there itself).
+      const auto commit_ready = [&] {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          while (!busy[b] && done[b] < num_sources) {
+            Slot& r = ring[static_cast<std::size_t>(done[b] % slots)];
+            if (r.source != done[b]) break;
+            if (r.touched[b]) {
+              busy[b] = 1;
+              lock.unlock();
+              const std::size_t hi =
+                  std::min(out.size(), (b + 1) * kCommitBlock);
+              for (std::size_t v = b * kCommitBlock; v < hi; ++v) {
+                out[v] += r.sum[v];
+                r.sum[v] = 0.0;
+              }
+              r.touched[b] = 0;
+              lock.lock();
+              busy[b] = 0;
+            }
+            ++done[b];
+            if (--r.left == 0) {
+              r.source = -1;
+              ++freed;
+              progress.notify_all();
+            }
           }
         }
-        // Every slot with sources left is busy, and each holder re-picks in
-        // the lock hold that frees its slot: there is nothing to wait for.
-        if (pick == slots || error) break;
-        const std::int64_t i = next[pick];
-        next[pick] += plan.slots;
-        busy[pick] = 1;
+      };
+      for (;;) {
+        commit_ready();
+        if (error || freed == num_sources) break;
+        if (next == num_sources || next == freed + slots) {
+          // Wait for a free buffer, the end, an error, or a newly finished
+          // source to help commit.
+          const std::int64_t seen = finished;
+          progress.wait(lock, [&] {
+            return error || finished != seen || freed == num_sources ||
+                   next < std::min(num_sources, freed + slots);
+          });
+          continue;
+        }
+        const std::int64_t i = next++;
+        Slot& r = ring[static_cast<std::size_t>(i % slots)];
         lock.unlock();
         try {
-          fn(worker, i, buffers[pick]);
+          for (const std::int64_t v : fn(worker, i, r.sum)) {
+            r.touched[static_cast<std::size_t>(v) / kCommitBlock] = 1;
+          }
         } catch (...) {
-          const std::lock_guard<std::mutex> guard(mu);
+          lock.lock();
           if (!error) error = std::current_exception();
+          progress.notify_all();
+          break;
         }
         lock.lock();
-        busy[pick] = 0;
+        r.source = i;
+        r.left = blocks;
+        ++finished;
+        progress.notify_all();
       }
     }
   }
   if (error) std::rethrow_exception(error);
   obs::add_work(num_sources * per_source.vertices,
                 num_sources * per_source.edges);
-  // The slots combine pairwise (stride 1, 2, 4, ...) into buffers[0], then
-  // into out: the tree's shape, not the schedule, fixes every sum's order.
-  GCT_SPAN("source_sum.reduce_tree");
-  for (std::size_t stride = 1; stride < slots; stride *= 2) {
-#pragma omp parallel for schedule(static)
-    for (std::size_t v = 0; v < out.size(); ++v) {
-      for (std::size_t b = 0; b + stride < slots; b += 2 * stride) {
-        buffers[b][v] += buffers[b + stride][v];
-      }
-    }
-  }
-#pragma omp parallel for schedule(static)
-  for (std::size_t v = 0; v < out.size(); ++v) out[v] += buffers[0][v];
 }
 
 }  // namespace graphct

@@ -68,12 +68,11 @@ std::vector<std::int64_t> sample_sources(std::int64_t n,
                                          std::uint64_t seed);
 
 /// team 1: serial, sources in order straight into the output. Otherwise
-/// `team` threads over `slots` score buffers; slot j sums sources j,
-/// j + slots, ... in order and the slots combine in a fixed pairwise tree,
-/// so the same plan gives the same bits (another slot count: near only).
+/// `team` threads over a ring of `slots` buffers, committed into the output
+/// in source order, so every plan gives the same bits (sum_over_sources).
 struct SourceSumPlan {
   int team = 1;
-  int slots = 0;                   ///< 0 when serial
+  int slots = 0;                   ///< ring buffers; 0 when serial
   std::uint64_t buffer_bytes = 0;  ///< slots * 8n + team * workspace
 };
 
@@ -92,12 +91,24 @@ struct SourceWork {
 };
 
 /// out += every source's contribution under `plan`: fn(worker, i, into)
-/// adds source i's into `into`, with workspace number `worker` in
-/// [0, plan.team). A free thread takes the free slot with the lowest
-/// pending source; an exception from fn stops the sum and is rethrown.
+/// adds source i's terms into `into`, with workspace number `worker` in
+/// [0, plan.team), and returns the elements it added to (a superset will
+/// do; the span need only last until fn's next call on that worker).
+/// Contract: fn adds at most one term to each element of `into` and never
+/// reads it otherwise. A parallel plan sums source i into zeroed ring
+/// buffer i mod slots and commits it into `out` in blocks of 1,024
+/// elements: each block takes its sources in source order, skips the ones
+/// that touched none of its elements and re-zeroes the rest, and any
+/// thread may commit any block whose next source is finished, so the
+/// commits of consecutive sources run side by side. Every element gets the
+/// serial plan's adds in its order, plus +0.0 where a source touched its
+/// block but not it, so every plan gives the same bits. A thread waits only
+/// while the ring is full or every source is claimed; an exception from fn
+/// stops the sum, wakes every waiter and is rethrown.
 void sum_over_sources(
     std::int64_t num_sources, const SourceSumPlan& plan,
     SourceWork per_source, std::span<double> out,
-    const std::function<void(int, std::int64_t, std::span<double>)>& fn);
+    const std::function<std::span<const std::int64_t>(
+        int, std::int64_t, std::span<double>)>& fn);
 
 }  // namespace graphct

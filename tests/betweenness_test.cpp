@@ -5,6 +5,7 @@
 #include <bit>
 #include <set>
 
+#include "algs/bc_layout.hpp"
 #include "algs/ranking.hpp"
 #include "gen/random_graphs.hpp"
 #include "gen/rmat.hpp"
@@ -25,6 +26,14 @@ void expect_scores_near(const std::vector<double>& got,
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], tol) << "vertex " << i;
+  }
+}
+
+void expect_scores_bitwise_equal(const std::vector<double>& a,
+                                 const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i], b[i]) << "vertex " << i;
   }
 }
 
@@ -81,20 +90,6 @@ TEST(BetweennessTest, SelfLoopIgnored) {
   expect_scores_near(with.score, without.score);
 }
 
-TEST(BetweennessTest, FineAndCoarseAgree) {
-  const auto g = erdos_renyi(120, 500, 3);
-  BetweennessOptions coarse;
-  BetweennessOptions fine;
-  fine.score_memory_budget_bytes = 120 * sizeof(double);  // one buffer
-  set_num_threads(4);
-  const auto rc = betweenness_centrality(g, coarse);
-  const auto rf = betweenness_centrality(g, fine);
-  set_num_threads(0);
-  EXPECT_EQ(rc.plan.team, 4);
-  EXPECT_EQ(rf.plan.team, 1);
-  expect_scores_near(rc.score, rf.score, 1e-7);
-}
-
 TEST(BetweennessTest, TinyBudgetShrinksTeamAndStaysUnderBudget) {
   // n = 200 so one score buffer is 1600 bytes. A 4000-byte budget affords
   // two buffers, so at 4 threads the team shrinks to 2 while buffer memory
@@ -114,43 +109,8 @@ TEST(BetweennessTest, TinyBudgetShrinksTeamAndStaysUnderBudget) {
   EXPECT_GT(r.plan.buffer_bytes, 0u);
   EXPECT_LE(r.plan.buffer_bytes, tight.score_memory_budget_bytes);
 
-  // A smaller team must not change the scores.
-  expect_scores_near(r.score, wide.score, 1e-7);
-}
-
-TEST(BetweennessTest, FineWhenBudgetTooSmall) {
-  const auto g = erdos_renyi(100, 300, 9);
-  BetweennessOptions o;
-  o.score_memory_budget_bytes = 100;  // cannot fit even one 800-byte buffer
-  const auto r = betweenness_centrality(g, o);
-  EXPECT_EQ(r.plan.team, 1);
-  EXPECT_EQ(r.plan.buffer_bytes, 0u);
-  expect_scores_near(r.score, betweenness_centrality(g).score, 1e-7);
-}
-
-TEST(BcPlanTest, BudgetArithmetic) {
-  // Budget affords 2 buffers for n=200 (1600 B each): team = 2.
-  const auto p = plan_source_sum(/*n=*/200, /*num_sources=*/64,
-                                 /*threads=*/8, /*budget_bytes=*/4000, 0);
-  EXPECT_EQ(p.team, 2);
-  EXPECT_EQ(p.buffer_bytes, 3200u);
-
-  // Plenty of budget: team capped by threads, then by sources.
-  const std::uint64_t gib = std::uint64_t{1} << 30;
-  const auto wide = plan_source_sum(200, 10, 4, gib, 0);
-  EXPECT_EQ(wide.team, 4);
-  EXPECT_EQ(wide.buffer_bytes, 8u * 1600u);
-  EXPECT_EQ(plan_source_sum(200, 3, 8, gib, 0).team, 3);
-
-  // One thread, one source, or a budget below two buffers: fine, with no
-  // buffers at all.
-  for (const SourceSumPlan fine :
-       {plan_source_sum(200, 64, 1, gib, 0), plan_source_sum(200, 1, 8, gib, 0),
-        plan_source_sum(200, 64, 8, 3000, 0),
-        plan_source_sum(200, 64, 8, 100, 0)}) {
-    EXPECT_EQ(fine.team, 1);
-    EXPECT_EQ(fine.buffer_bytes, 0u);
-  }
+  // A smaller team must not change a bit of the scores.
+  expect_scores_bitwise_equal(r.score, wide.score);
 }
 
 TEST(BetweennessTest, SampledSubsetOfSourcesUnderestimates) {
@@ -187,9 +147,12 @@ TEST(BetweennessTest, DeterministicForFixedSeed) {
   BetweennessOptions o;
   o.num_sources = 20;
   o.seed = 77;
+  set_num_threads(4);
   const auto a = betweenness_centrality(g, o);
+  set_num_threads(1);
   const auto b = betweenness_centrality(g, o);
-  expect_scores_near(a.score, b.score, 0.0);
+  set_num_threads(0);
+  expect_scores_bitwise_equal(a.score, b.score);
 }
 
 TEST(BetweennessTest, EmptyGraph) {
@@ -203,18 +166,10 @@ TEST(BetweennessTest, EmptyGraph) {
 //
 // Sigma is pulled and the backward coefficient sums run in adjacency order,
 // so every per-source contribution is the same bits at any thread count, and
-// the fine plan adds them into the scores in source order: its scores must
-// be BIT-IDENTICAL for any thread count — compared with ASSERT_EQ, not a
-// tolerance. (The distributed engine's top-down pull is the independent
-// reference for the hybrid sweep; see DistBcTest.)
-
-void expect_scores_bitwise_equal(const std::vector<double>& a,
-                                 const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "vertex " << i;
-  }
-}
+// every plan adds them into the scores in source order: scores must be
+// BIT-IDENTICAL for any thread count and budget — compared with ASSERT_EQ,
+// not a tolerance. (The distributed engine's top-down pull is the
+// independent reference for the hybrid sweep; see DistBcTest.)
 
 TEST(BcPlanTest, DefaultPlanRunsTwoSlotsPerThread) {
   const auto g = star_graph(16);
@@ -229,7 +184,7 @@ TEST(BcPlanTest, DefaultPlanRunsTwoSlotsPerThread) {
 TEST(BcPlanTest, DirectedRunsThePushForwardPass) {
   // Directed input takes forward_push_directed under either plan (the fused
   // sweep throws on directed graphs): the fine plan at one thread repeats
-  // bit for bit, and the coarse team agrees to float noise.
+  // bit for bit, and the coarse team gives the same bits.
   RmatOptions ro;
   ro.scale = 11;
   ro.edge_factor = 8;
@@ -254,66 +209,7 @@ TEST(BcPlanTest, DirectedRunsThePushForwardPass) {
   for (const double s : fine.score) sum += s;
   EXPECT_GT(sum, 0.0);
   expect_scores_bitwise_equal(fine.score, again.score);
-  expect_scores_near(coarse.score, fine.score, 1e-7);
-}
-
-TEST(BcPlanTest, CoarseModeMatchesAcrossThreadCounts) {
-  // Coarse workers run the full sweep machinery from inside a parallel
-  // region, where nested utilities (level compaction's prefix scan, the
-  // work-stealing scheduler's in-parallel guard) take their serial paths.
-  // Regression: exclusive_scan once returned a stale 0 total for nested
-  // callers, truncating every BFS level to empty — coarse multi-thread
-  // runs silently produced all-zero scores while every threads=1 and
-  // fine-mode test stayed green. The slot count follows the thread count,
-  // so scores reassociate across thread counts, hence near, not bitwise.
-  RmatOptions ro;
-  ro.scale = 10;
-  ro.edge_factor = 16;
-  ro.seed = 9;
-  const auto g = rmat_graph(ro);
-  BetweennessOptions o;
-  o.num_sources = 96;
-  o.seed = 5;
-  set_num_threads(1);
-  const auto base = betweenness_centrality(g, o);
-  double sum = 0.0;
-  for (const double s : base.score) sum += s;
-  EXPECT_GT(sum, 0.0);
-  for (int t : {2, 8}) {
-    set_num_threads(t);
-    const auto got = betweenness_centrality(g, o);
-    set_num_threads(0);
-    expect_scores_near(got.score, base.score, 1e-7);
-  }
-  set_num_threads(0);
-}
-
-TEST(BcPlanTest, FineModeBitIdenticalAcrossThreadCounts) {
-  // A budget below two buffers keeps the fine plan at every thread count;
-  // with no atomic accumulations left its scores must be bit-identical to
-  // the one-thread run. The small budget also skips the layout, so this
-  // pins the folded int32 layout (one thread) and the unfolded view (two
-  // and eight threads) to the same bits.
-  RmatOptions ro;
-  ro.scale = 10;
-  ro.edge_factor = 16;
-  ro.seed = 9;
-  const auto g = rmat_graph(ro);
-  BetweennessOptions o;
-  o.num_sources = 96;
-  o.seed = 7;
-  set_num_threads(1);
-  const auto base = betweenness_centrality(g, o);
-  o.score_memory_budget_bytes =
-      2 * static_cast<std::uint64_t>(g.num_vertices()) * sizeof(double) - 1;
-  for (int t : {2, 8}) {
-    set_num_threads(t);
-    const auto got = betweenness_centrality(g, o);
-    set_num_threads(0);
-    EXPECT_EQ(got.plan.team, 1);
-    expect_scores_bitwise_equal(base.score, got.score);
-  }
-  set_num_threads(0);
+  expect_scores_bitwise_equal(coarse.score, fine.score);
 }
 
 /// FNV-1a over the bit patterns of a score vector, each double's bytes
@@ -333,8 +229,19 @@ std::uint64_t score_fingerprint(const std::vector<double>& score) {
 TEST(BetweennessTest, OneThreadScoresMatchRecordedBuilds) {
   // Every other bitwise test compares two runs of the same build, so a
   // score bit that moved in every run would pass them all. These constants
-  // were recorded from the build before the leaf-folding layout, whose
-  // mention-graph inputs are 51% (atlflood) and 57% (h1n1) leaves.
+  // were recorded at one thread from the build before the leaf-folding
+  // layout, whose mention-graph inputs are 51% (atlflood) and 57% (h1n1)
+  // leaves. Every thread count and budget must give them:
+  //  * the default budget runs the folded layout, under a parallel plan of
+  //    team t at t >= 2 threads. Its workers run the sweeps inside a
+  //    parallel region, where nested utilities (level compaction's prefix
+  //    scan, the work-stealing scheduler) take their serial paths; a nested
+  //    scan that once returned a stale 0 total emptied every level and
+  //    zeroed the scores, which no fingerprint survives;
+  //  * exactly the identity layout's bytes: the unfolded int32 layout;
+  //  * one byte less: no layout, both sweeps read the graph itself;
+  //  * below two score buffers: the serial plan, whose level sweeps run
+  //    parallel at t threads, with no buffer.
   RmatOptions ro;
   ro.scale = 11;
   ro.edge_factor = 8;
@@ -349,16 +256,33 @@ TEST(BetweennessTest, OneThreadScoresMatchRecordedBuilds) {
       {"h1n1", mention_lwcc("h1n1"), 0xe70062c74216f606ULL},
       {"rmat11", rmat_graph(ro), 0xdf136485ab24adc1ULL},
   };
-  BetweennessOptions o;
-  o.num_sources = 64;
-  o.seed = 1;
-  set_num_threads(1);
   for (const Case& c : cases) {
-    EXPECT_EQ(score_fingerprint(betweenness_centrality(c.graph, o).score),
-              c.fingerprint)
-        << c.name;
+    const std::uint64_t identity = bc_layout_build_bytes(c.graph, false);
+    const std::uint64_t two_buffers =
+        2 * static_cast<std::uint64_t>(c.graph.num_vertices()) *
+        sizeof(double);
+    ASSERT_GT(identity, two_buffers) << c.name;
+    for (const int threads : {1, 2, 4}) {
+      for (const std::uint64_t budget :
+           {kSourceSumBudgetBytes, identity, identity - 1, two_buffers - 1}) {
+        BetweennessOptions o;
+        o.num_sources = 64;
+        o.seed = 1;
+        o.score_memory_budget_bytes = budget;
+        set_num_threads(threads);
+        const auto r = betweenness_centrality(c.graph, o);
+        set_num_threads(0);
+        EXPECT_EQ(score_fingerprint(r.score), c.fingerprint)
+            << c.name << " threads=" << threads << " budget=" << budget;
+        if (budget == two_buffers - 1) {
+          EXPECT_EQ(r.plan.team, 1);
+          EXPECT_EQ(r.plan.buffer_bytes, 0u);
+        } else if (budget == kSourceSumBudgetBytes) {
+          EXPECT_EQ(r.plan.team, threads);
+        }
+      }
+    }
   }
-  set_num_threads(0);
 }
 
 // Property sweep: parallel implementation matches the serial Brandes

@@ -6,6 +6,7 @@
 #include "gen/shapes.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace graphct {
 namespace {
@@ -73,8 +74,30 @@ TEST(ClosenessTest, DeterministicForFixedSeed) {
   ClosenessOptions o;
   o.num_sources = 20;
   o.seed = 5;
-  EXPECT_EQ(closeness_centrality(g, o).score,
-            closeness_centrality(g, o).score);
+  set_num_threads(4);
+  const auto a = closeness_centrality(g, o);
+  set_num_threads(1);
+  const auto b = closeness_centrality(g, o);
+  set_num_threads(0);
+  EXPECT_EQ(a.score, b.score);
+}
+
+TEST(ClosenessTest, SameBitsAtEveryThreadCount) {
+  // Each pivot adds 1/d once per reached vertex, and every plan adds the
+  // pivots in order: 2 and 4 threads run parallel plans, 1 thread the
+  // serial one, and all three give the same bits.
+  const auto g = testing::mention_lwcc("atlflood");
+  ClosenessOptions o;
+  o.num_sources = 64;
+  o.seed = 1;
+  set_num_threads(1);
+  const auto base = closeness_centrality(g, o);
+  for (const int threads : {2, 4}) {
+    set_num_threads(threads);
+    const auto r = closeness_centrality(g, o);
+    set_num_threads(0);
+    EXPECT_EQ(r.score, base.score) << "threads=" << threads;
+  }
 }
 
 TEST(ClosenessTest, NoRescaleKeepsRawSums) {

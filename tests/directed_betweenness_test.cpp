@@ -125,10 +125,14 @@ TEST(DirectedBcTest, FineAndCoarsePlansAgree) {
   const auto rf = betweenness_centrality(g, fine);
   const auto rs = betweenness_centrality(g, small);
   set_num_threads(0);
+  // Every plan adds the same per-source terms in source order. The fine
+  // plan at 4 threads pushes sigma with atomic adds in schedule order;
+  // that stays exact only because path counts are integers below 2^53,
+  // until directed graphs pull sigma over in-edges as undirected ones do.
   ASSERT_EQ(rs.score.size(), rc.score.size());
   for (std::size_t v = 0; v < rc.score.size(); ++v) {
-    EXPECT_NEAR(rs.score[v], rc.score[v], 1e-7) << "vertex " << v;
-    EXPECT_NEAR(rf.score[v], rc.score[v], 1e-7) << "vertex " << v;
+    EXPECT_EQ(rs.score[v], rc.score[v]) << "vertex " << v;
+    EXPECT_EQ(rf.score[v], rc.score[v]) << "vertex " << v;
   }
   EXPECT_EQ(rc.plan.team, 4);
   EXPECT_EQ(rf.plan.team, 1);

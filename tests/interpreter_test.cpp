@@ -122,7 +122,10 @@ TEST(InterpreterTest, KcentralityToScreenShowsTopVertices) {
 TEST(InterpreterTest, BcVerbBudget) {
   std::ostringstream out;
   Interpreter in(out, fast_opts());
-  in.run("generate rmat 6 4\nthreads 2\nbc 16\nthreads 1\nbc 16 1\n"
+  // A 16-vertex graph, so `bc 17` also runs all 16 sources, but under its
+  // own cache key: `bc 16 1` would be served the `bc 16` result, which no
+  // budget changes, with the plan of the run that computed it.
+  in.run("generate rmat 4 4\nthreads 2\nbc 16\nthreads 1\nbc 17 1\n"
          "threads 0\n");
   const std::string s = out.str();
   EXPECT_NE(s.find("bc sources=16 team=2"), std::string::npos);

@@ -4,9 +4,11 @@
 
 #include "core/betweenness.hpp"
 #include "gen/random_graphs.hpp"
+#include "gen/rmat.hpp"
 #include "gen/shapes.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace graphct {
 namespace {
@@ -105,10 +107,36 @@ TEST(KBetweennessTest, SampledSourcesSubsetAndDeterministic) {
   o.k = 1;
   o.num_sources = 10;
   o.seed = 5;
+  set_num_threads(4);
   const auto a = k_betweenness_centrality(g, o);
+  set_num_threads(1);
   const auto b = k_betweenness_centrality(g, o);
+  set_num_threads(0);
   EXPECT_EQ(a.sources_used, 10);
-  expect_scores_near(a.score, b.score, 0.0);
+  EXPECT_EQ(a.score, b.score);
+}
+
+TEST(KBetweennessTest, SameBitsAtEveryThreadCount) {
+  // Each source adds one term per reached vertex, and every plan adds the
+  // sources in order: 2 and 4 threads run parallel plans, 1 thread the
+  // serial one, and all three give the same bits.
+  RmatOptions ro;
+  ro.scale = 11;
+  ro.edge_factor = 8;
+  ro.seed = 3;
+  const auto g = rmat_graph(ro);
+  KBetweennessOptions o;
+  o.k = 1;
+  o.num_sources = 32;
+  o.seed = 1;
+  set_num_threads(1);
+  const auto base = k_betweenness_centrality(g, o);
+  for (const int threads : {2, 4}) {
+    set_num_threads(threads);
+    const auto r = k_betweenness_centrality(g, o);
+    set_num_threads(0);
+    EXPECT_EQ(r.score, base.score) << "threads=" << threads;
+  }
 }
 
 TEST(KBetweennessTest, TinyBudgetShrinksTeamWithoutChangingScores) {
@@ -127,7 +155,7 @@ TEST(KBetweennessTest, TinyBudgetShrinksTeamWithoutChangingScores) {
   const auto one_slot = k_betweenness_centrality(g, tight);
   EXPECT_EQ(one_slot.peak_buffer_bytes, 4800u);
   EXPECT_LE(one_slot.peak_buffer_bytes, tight.score_memory_budget_bytes);
-  expect_scores_near(one_slot.score, wide.score, 1e-8);
+  EXPECT_EQ(one_slot.score, wide.score);
 }
 
 TEST(KBetweennessTest, ScoresNonNegative) {

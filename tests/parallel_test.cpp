@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -120,8 +122,8 @@ TEST(ThreadsTest, NumThreadsPositive) { EXPECT_GE(num_threads(), 1); }
 // ---- Source-parallel sums ----
 
 /// A contribution whose every term depends on the running sum, so any
-/// other order of sources within a slot, or of slots in the combine, gives
-/// other bits. Sources sleep for uneven times to shuffle the schedule.
+/// other order of sources gives other bits. Sources sleep for uneven times
+/// to shuffle a parallel schedule.
 void order_sensitive_source(std::int64_t i, std::span<double> into) {
   std::this_thread::sleep_for(std::chrono::microseconds((i * 37) % 200));
   for (std::size_t v = 0; v < into.size(); ++v) {
@@ -130,45 +132,63 @@ void order_sensitive_source(std::int64_t i, std::span<double> into) {
   }
 }
 
-TEST(SourceSumTest, ParallelPlanRepeatsTheSlotOrderBitForBit) {
-  const std::int64_t n = 257;
+/// A contribution that meets sum_over_sources' contract: at most one term
+/// per element, never reading `into`. Its terms span sixty binary orders of
+/// magnitude, so adding the sources in any other order, or in any other
+/// grouping, gives other bits. Source i reaches a window of 1 to 9,001
+/// elements that starts at a different place for each source, and every
+/// fifth element of it gets no term; `touched` lists the elements it added to.
+void one_term_source(std::int64_t i, std::span<double> into,
+                     std::vector<std::int64_t>& touched) {
+  std::this_thread::sleep_for(std::chrono::microseconds((i * 37) % 200));
+  touched.clear();
+  const auto n = static_cast<std::int64_t>(into.size());
+  const std::int64_t lo = (i * 2741) % n;
+  const std::int64_t hi = std::min(n, lo + 1 + (i % 4) * 3000);
+  for (std::int64_t v = lo; v < hi; ++v) {
+    const std::int64_t k = v + i;
+    if (k % 5 == 0) continue;
+    into[static_cast<std::size_t>(v)] +=
+        std::ldexp(1.0 + static_cast<double>(k % 97) / 97.0,
+                   static_cast<int>((k * 13) % 61) - 30);
+    touched.push_back(v);
+  }
+}
+
+TEST(SourceSumTest, ParallelPlansGiveTheInOrderLoopsBits) {
+  // Twelve and a bit 1,024-element commit blocks: a source's window touches
+  // one to ten of them.
+  const std::int64_t n = 12 * 1024 + 7;
   const std::int64_t sources = 64;
   const std::uint64_t buffer = static_cast<std::uint64_t>(n) * sizeof(double);
-  // Two slots per thread, and a budget that affords one per thread only.
-  for (const std::uint64_t budget : {kSourceSumBudgetBytes, 4 * buffer}) {
-    const SourceSumPlan plan = plan_source_sum(n, sources, 4, budget, 0);
-    ASSERT_EQ(plan.team, 4);
-    ASSERT_EQ(plan.slots, budget == 4 * buffer ? 4 : 8);
+  std::vector<double> want(static_cast<std::size_t>(n), 1.5);
+  std::vector<std::int64_t> scratch;
+  for (std::int64_t i = 0; i < sources; ++i) one_term_source(i, want, scratch);
 
-    // Reference: slot j sums sources j, j + S, ... in order, then the slots
-    // combine pairwise (stride 1, 2, 4, ...) into the output.
-    const auto slots = static_cast<std::size_t>(plan.slots);
-    std::vector<std::vector<double>> classes(
-        slots, std::vector<double>(static_cast<std::size_t>(n), 0.0));
-    for (std::int64_t i = 0; i < sources; ++i) {
-      order_sensitive_source(i, classes[static_cast<std::size_t>(i) % slots]);
-    }
-    for (std::size_t stride = 1; stride < slots; stride *= 2) {
-      for (std::size_t b = 0; b + stride < slots; b += 2 * stride) {
-        for (std::size_t v = 0; v < classes[b].size(); ++v) {
-          classes[b][v] += classes[b + stride][v];
-        }
+  for (int team = 2; team <= 4; ++team) {
+    // Two buffers per thread, and a budget that affords one per thread.
+    for (const std::uint64_t budget : {kSourceSumBudgetBytes, team * buffer}) {
+      const SourceSumPlan plan = plan_source_sum(n, sources, team, budget, 0);
+      ASSERT_EQ(plan.team, team);
+      ASSERT_EQ(plan.slots, budget == kSourceSumBudgetBytes ? 2 * team : team);
+      std::vector<std::vector<std::int64_t>> touched(
+          static_cast<std::size_t>(team));
+      std::atomic<bool> bad_worker{false};
+      for (int call = 0; call < 5; ++call) {
+        std::vector<double> got(static_cast<std::size_t>(n), 1.5);
+        sum_over_sources(
+            sources, plan, {}, got,
+            [&](int worker, std::int64_t i, std::span<double> into) {
+              if (worker < 0 || worker >= plan.team) bad_worker = true;
+              auto& mine = touched[static_cast<std::size_t>(worker)];
+              one_term_source(i, into, mine);
+              return std::span<const std::int64_t>(mine);
+            });
+        ASSERT_EQ(got, want) << "call " << call << ", team " << plan.team
+                             << ", slots " << plan.slots;
       }
+      EXPECT_FALSE(bad_worker);
     }
-    std::vector<double> want(static_cast<std::size_t>(n), 1.5);
-    for (std::size_t v = 0; v < want.size(); ++v) want[v] += classes[0][v];
-
-    std::atomic<bool> bad_worker{false};
-    for (int call = 0; call < 20; ++call) {
-      std::vector<double> got(static_cast<std::size_t>(n), 1.5);
-      sum_over_sources(sources, plan, {}, got,
-                       [&](int worker, std::int64_t i, std::span<double> into) {
-                         if (worker < 0 || worker >= plan.team) bad_worker = true;
-                         order_sensitive_source(i, into);
-                       });
-      ASSERT_EQ(got, want) << "call " << call << ", slots " << plan.slots;
-    }
-    EXPECT_FALSE(bad_worker);
   }
 }
 
@@ -188,6 +208,7 @@ TEST(SourceSumTest, SerialPlanIsAPlainInOrderLoop) {
                      EXPECT_EQ(into.data(), got.data());
                      order.push_back(i);
                      order_sensitive_source(i, into);
+                     return std::span<const std::int64_t>();
                    });
   EXPECT_EQ(got, want);
   std::vector<std::int64_t> in_order(static_cast<std::size_t>(sources));
@@ -196,15 +217,35 @@ TEST(SourceSumTest, SerialPlanIsAPlainInOrderLoop) {
 }
 
 TEST(SourceSumTest, ParallelPlanRethrowsASourcesError) {
+  // Source 0 fails only after sources 1 .. slots - 1 have finished. Their
+  // threads then find the ring full (source slots needs source 0's buffer)
+  // and wait, so the error must wake them: a lost wake-up hangs here.
   const SourceSumPlan plan =
       plan_source_sum(50, 40, 4, kSourceSumBudgetBytes, 0);
   ASSERT_EQ(plan.team, 4);
+  ASSERT_EQ(plan.slots, 8);
   std::vector<double> out(50, 0.0);
-  EXPECT_THROW(sum_over_sources(40, plan, {}, out,
-                                [](int, std::int64_t i, std::span<double>) {
-                                  if (i == 17) throw Error("source 17");
-                                }),
-               Error);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      sum_over_sources(
+          40, plan, {}, out,
+          [&](int, std::int64_t i,
+              std::span<double>) -> std::span<const std::int64_t> {
+            if (i != 0) {
+              ++finished;
+              return {};
+            }
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (finished.load() < plan.slots - 1 &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw Error("source 0");
+          }),
+      Error);
+  EXPECT_EQ(finished.load(), plan.slots - 1);  // no claim past the ring
 }
 
 TEST(SourceSumTest, PlanArithmetic) {
@@ -249,6 +290,19 @@ TEST(SourceSumTest, PlanArithmetic) {
   EXPECT_EQ(few.team, 4);
   EXPECT_EQ(few.slots, 5);
   EXPECT_EQ(plan_source_sum(200, 3, 8, gib, 0).team, 3);
+  // Plenty of budget: team capped by threads, two slots per thread.
+  const auto wide = plan_source_sum(200, 10, 4, gib, 0);
+  EXPECT_EQ(wide.team, 4);
+  EXPECT_EQ(wide.buffer_bytes, 8u * 1600u);
+  // One thread, one source, or a budget below two buffers: serial, with
+  // no buffers at all.
+  for (const SourceSumPlan serial :
+       {plan_source_sum(200, 64, 1, gib, 0), plan_source_sum(200, 1, 8, gib, 0),
+        plan_source_sum(200, 64, 8, 3000, 0),
+        plan_source_sum(200, 64, 8, 100, 0)}) {
+    EXPECT_EQ(serial.team, 1);
+    EXPECT_EQ(serial.buffer_bytes, 0u);
+  }
   // Workspaces come off the budget first: 4 x 1000 B leave 6400 B, eight
   // 800-byte slots; one byte less leaves seven.
   const auto full = plan_source_sum(100, 64, 4, 10400, 1000);

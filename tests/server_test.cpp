@@ -22,6 +22,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -589,6 +590,30 @@ TEST(ServerTest, ServerVerbsListGraphsAndJobs) {
   EXPECT_NE(info.find("graph:resident"), std::string::npos);
 }
 
+TEST(ServerTest, JobsVerbListsABoundedNumberOfFinishedJobs) {
+  Server srv(fast_server_opts());
+  auto session = srv.open_session("analyst");
+  const std::size_t total = kJobsListedFinished + 50;
+  for (std::size_t i = 0; i < total; ++i) {
+    ASSERT_NE(session->handle_line("threads 1").find("\nok job="),
+              std::string::npos);
+  }
+  // The table's header and rule, one row per listed job, the left-out
+  // count and the terminator.
+  const auto lines = lines_of(session->handle_line("jobs"));
+  ASSERT_EQ(lines.size(), kJobsListedFinished + 4);
+  std::vector<std::uint64_t> listed;
+  for (std::size_t i = 2; i < 2 + kJobsListedFinished; ++i) {
+    std::uint64_t id = 0;
+    std::istringstream(lines[i]) >> id;
+    listed.push_back(id);
+  }
+  std::vector<std::uint64_t> newest(kJobsListedFinished);
+  std::iota(newest.begin(), newest.end(), total - kJobsListedFinished + 1);
+  EXPECT_EQ(listed, newest);
+  EXPECT_EQ(lines[2 + kJobsListedFinished], "50 older finished jobs not listed");
+}
+
 TEST(ServerTest, MetricsVerbExposesRegistry) {
   Server srv(fast_server_opts());
   auto session = srv.open_session("analyst");
@@ -782,16 +807,17 @@ TEST(ServerTest, ConcurrentMixedKernelsMatchSingleThreadedRun) {
 }
 
 // The server's cache budget reaches the kernel cache of every graph it
-// registers. 64 bc queries with distinct keys make ~0.5 MiB of results
-// against a 256 KiB budget: resident bytes stay within it and entries evict.
+// registers. 64 bc queries with distinct keys make ~128 KiB of results
+// (8n score bytes each on a 256-vertex graph) against a 64 KiB budget:
+// resident bytes stay within it and entries evict.
 TEST(ServerTest, CacheBudgetBoundsResidentBytesThroughTheServer) {
-  constexpr std::uint64_t kBudget = 256 << 10;
+  constexpr std::uint64_t kBudget = 64 << 10;
   ServerOptions opts = fast_server_opts(2);
   opts.limits.cache_budget_bytes = kBudget;
   opts.interpreter.toolkit.estimate_diameter_on_load = false;
   Server srv(opts);
   RmatOptions r;
-  r.scale = 10;
+  r.scale = 8;
   r.edge_factor = 8;
   r.seed = 42;
   srv.registry().add("g", rmat_graph(r));
@@ -809,9 +835,9 @@ TEST(ServerTest, CacheBudgetBoundsResidentBytesThroughTheServer) {
   session->handle_line("threads 1");  // keeps the TSan job fast
   double resident_max = 0.0;
   for (int i = 0; i < 64; ++i) {
-    // Distinct MiB budgets make distinct cache keys: every query misses.
+    // Distinct source counts make distinct cache keys: every query misses.
     const std::string resp =
-        session->handle_line("bc 2 " + std::to_string(1001 + i));
+        session->handle_line("bc " + std::to_string(2 + i));
     ASSERT_NE(resp.find("\nok job="), std::string::npos) << resp;
     resident_max = std::max(resident_max, resident.value() - baseline);
   }
