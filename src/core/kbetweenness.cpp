@@ -148,6 +148,22 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
   GCT_CHECK(!g.directed(), "k_betweenness_centrality: graph must be undirected");
   GCT_CHECK(opts.k >= 0, "k_betweenness_centrality: k must be >= 0");
   const vid n = g.num_vertices();
+  // A workspace holds the two (k+1) x n slack tables and the total array,
+  // and a source books 2(k+1) adjacency sweeps. Reject a k for which one of
+  // these counts overflows, before anything is allocated.
+  std::int64_t sweeps = 0;
+  std::int64_t workspace_words = 0;
+  std::int64_t sweep_edges = 0;
+  std::uint64_t workspace_bytes = 0;
+  GCT_CHECK(!__builtin_add_overflow(opts.k, 1, &sweeps) &&
+                !__builtin_mul_overflow(sweeps, 2, &sweeps) &&
+                !__builtin_mul_overflow(sweeps + 1, n, &workspace_words) &&
+                !__builtin_mul_overflow(workspace_words, sizeof(double),
+                                        &workspace_bytes) &&
+                !__builtin_mul_overflow(sweeps, g.num_adjacency_entries(),
+                                        &sweep_edges),
+            "k_betweenness_centrality: k = " + std::to_string(opts.k) +
+                " overflows the workspace size or the work count");
   KBetweennessResult result;
   result.score.assign(static_cast<std::size_t>(n), 0.0);
   if (n == 0) return result;
@@ -157,10 +173,6 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
       sample_sources(n, opts.num_sources, opts.seed);
   result.sources_used = static_cast<std::int64_t>(sources.size());
 
-  // A workspace holds the two (k+1) x n slack tables and the total array.
-  const std::uint64_t workspace_bytes =
-      static_cast<std::uint64_t>(2 * (opts.k + 1) + 1) *
-      static_cast<std::uint64_t>(n) * sizeof(double);
   const SourceSumPlan plan =
       plan_source_sum(n, result.sources_used, num_threads(),
                       opts.score_memory_budget_bytes, workspace_bytes);
@@ -172,8 +184,7 @@ KBetweennessResult k_betweenness_centrality(const GraphView& g,
     // A parallel plan books a source as one adjacency sweep per slack value
     // and direction (the BFS-equivalent TEPS convention).
     sum_over_sources(
-        result.sources_used, plan,
-        {n, 2 * (opts.k + 1) * g.num_adjacency_entries()}, result.score,
+        result.sources_used, plan, {n, sweep_edges}, result.score,
         [&](int worker, std::int64_t i, std::span<double> into) {
           KbcWorkspace& ws = workspaces[static_cast<std::size_t>(worker)];
           accumulate_source_kbc(g, sources[static_cast<std::size_t>(i)], ws,

@@ -118,11 +118,8 @@ class Coordinator {
   void shutdown();
 
   /// True once a worker failure has poisoned this coordinator; every
-  /// kernel call then throws degraded_reason() without touching sockets.
+  /// kernel call then throws the failure's reason without touching sockets.
   [[nodiscard]] bool degraded() const { return degraded_; }
-  [[nodiscard]] const std::string& degraded_reason() const {
-    return degraded_reason_;
-  }
 
   /// Cumulative traffic since connect(), plus supersteps driven.
   [[nodiscard]] DistStats stats() const;

@@ -16,7 +16,9 @@ EdgeList rmat_edges(const RmatOptions& opts) {
             "rmat: probabilities must be positive and sum below 1");
 
   const vid n = vid{1} << opts.scale;
-  const std::int64_t m = opts.edge_factor * n;
+  std::int64_t m = 0;
+  GCT_CHECK(!__builtin_mul_overflow(opts.edge_factor, n, &m),
+            "rmat: edge_factor x 2^scale overflows the edge count");
 
   EdgeList el(n);
   auto& edges = el.edges();

@@ -175,6 +175,20 @@ void write_per_vertex(const std::string& path, const std::vector<T>& values) {
   GCT_CHECK(f.good(), "write failed: " + path);
 }
 
+/// A score verb's report: every vertex's score to the redirect file, or
+/// else the ten most central vertices on screen.
+void report_scores(std::ostream& out, const Command& cmd,
+                   const std::vector<double>& score) {
+  if (cmd.has_redirect()) {
+    write_per_vertex(cmd.redirect, score);
+    return;
+  }
+  for (const auto v : graphct::top_k(score, 10)) {
+    out << "  vertex " << v << "  score "
+        << score[static_cast<std::size_t>(v)] << "\n";
+  }
+}
+
 }  // namespace
 
 Interpreter::Interpreter(std::ostream& out, InterpreterOptions opts)
@@ -376,10 +390,8 @@ void Interpreter::execute(const Command& cmd) {
   } else if (verb == "threads") {
     require_arity(cmd, 2, 2);
     const std::int64_t n = parse_i64(cmd.tokens[1], cmd);
-    GCT_CHECK(n >= 0, "script line " + std::to_string(cmd.line) +
-                          ": thread count must be >= 0 (0 = default)");
+    graphct::set_num_threads(n);  // throws outside [0, kMaxThreads]
     im.requested_threads = static_cast<int>(n);
-    graphct::set_num_threads(im.requested_threads);
     // Echo what the runtime will actually deliver, not the request — the
     // two differ when the request exceeds the machine or a thread limit.
     const int effective = graphct::effective_num_threads();
@@ -416,7 +428,7 @@ void Interpreter::execute(const Command& cmd) {
                       opt + "')");
         const std::int64_t k =
             parse_i64(opt.substr(std::string("threads=").size()), cmd);
-        GCT_CHECK(k >= 1 && k <= 256,
+        GCT_CHECK(k >= 1 && k <= graphct::kMaxThreads,
                   "script line " + std::to_string(cmd.line) +
                       ": worker threads must be in [1, 256]");
         threads = static_cast<int>(k);
@@ -651,16 +663,7 @@ void Interpreter::execute(const Command& cmd) {
         << ": done in " << graphct::format_duration(res.seconds);
     if (coord) out << " [workers=" << coord->num_workers() << "]";
     out << "\n";
-    if (cmd.has_redirect()) {
-      write_per_vertex(cmd.redirect, res.score);
-    } else {
-      auto top = graphct::top_k(
-          std::span<const double>(res.score.data(), res.score.size()), 10);
-      for (auto v : top) {
-        out << "  vertex " << v << "  score "
-            << res.score[static_cast<std::size_t>(v)] << "\n";
-      }
-    }
+    report_scores(out, cmd, res.score);
   } else if (verb == "kcentrality") {
     require_arity(cmd, 3, 3);
     Toolkit& tk = im.current(cmd.line);
@@ -670,17 +673,7 @@ void Interpreter::execute(const Command& cmd) {
     const auto& res = tk.k_betweenness(ko);
     out << "kcentrality k=" << ko.k << " sources=" << res.sources_used
         << ": done in " << graphct::format_duration(res.seconds) << "\n";
-    if (cmd.has_redirect()) {
-      write_per_vertex(cmd.redirect, res.score);
-    } else {
-      // Screen summary: the ten most central vertices.
-      auto top = graphct::top_k(
-          std::span<const double>(res.score.data(), res.score.size()), 10);
-      for (auto v : top) {
-        out << "  vertex " << v << "  score "
-            << res.score[static_cast<std::size_t>(v)] << "\n";
-      }
-    }
+    report_scores(out, cmd, res.score);
   } else if (verb == "pagerank") {
     require_arity(cmd, 1, 1);
     Toolkit& tk = im.current(cmd.line);
@@ -690,16 +683,7 @@ void Interpreter::execute(const Command& cmd) {
         << res.residual << (res.converged ? "" : " (not converged)");
     if (coord) out << " [workers=" << coord->num_workers() << "]";
     out << "\n";
-    if (cmd.has_redirect()) {
-      write_per_vertex(cmd.redirect, res.score);
-    } else {
-      auto top = graphct::top_k(
-          std::span<const double>(res.score.data(), res.score.size()), 10);
-      for (auto v : top) {
-        out << "  vertex " << v << "  score "
-            << res.score[static_cast<std::size_t>(v)] << "\n";
-      }
-    }
+    report_scores(out, cmd, res.score);
   } else if (verb == "closeness") {
     require_arity(cmd, 2, 2);
     Toolkit& tk = im.current(cmd.line);
@@ -708,16 +692,7 @@ void Interpreter::execute(const Command& cmd) {
     const auto& res = tk.closeness(co);
     out << "closeness: " << res.sources_used << " sources in "
         << graphct::format_duration(res.seconds) << "\n";
-    if (cmd.has_redirect()) {
-      write_per_vertex(cmd.redirect, res.score);
-    } else {
-      auto top = graphct::top_k(
-          std::span<const double>(res.score.data(), res.score.size()), 10);
-      for (auto v : top) {
-        out << "  vertex " << v << "  score "
-            << res.score[static_cast<std::size_t>(v)] << "\n";
-      }
-    }
+    report_scores(out, cmd, res.score);
   } else if (verb == "communities") {
     require_arity(cmd, 1, 1);
     Toolkit& tk = im.current(cmd.line);

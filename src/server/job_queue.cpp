@@ -169,20 +169,22 @@ void JobQueue::worker_loop() {
     }
     lock.unlock();
 
-    // Pin this worker's OpenMP parallelism for the job, then restore the
-    // default — omp_set_num_threads is per calling thread, so concurrent
-    // jobs on other workers are unaffected.
-    if (job->threads > 0) set_num_threads(job->threads);
     std::string output;
     std::string error;
     bool failed = false;
+    int threads_used = 0;
     JobCounters counters;
     Timer run_timer;
-    // Record what the OpenMP runtime will actually deliver, not what the
-    // session requested — the two differ under OMP_THREAD_LIMIT or when the
-    // request exceeds the machine.
-    const int threads_used = effective_num_threads();
     try {
+      // Pin this worker's OpenMP parallelism for the job, then restore the
+      // default — omp_set_num_threads is per calling thread, so concurrent
+      // jobs on other workers are unaffected. A count set_num_threads
+      // rejects fails this job only.
+      if (job->threads > 0) set_num_threads(job->threads);
+      // Record what the OpenMP runtime will actually deliver, not what the
+      // session requested — the two differ under OMP_THREAD_LIMIT or when
+      // the request exceeds the machine.
+      threads_used = effective_num_threads();
       output = job->work(counters);
     } catch (const std::exception& e) {
       failed = true;
@@ -273,55 +275,55 @@ void JobQueue::retire_locked(std::uint64_t id) {
   }
 }
 
+void JobQueue::cancel_locked(Internal& job, const std::string& reason,
+                             Fired& fired) {
+  job.record.state = JobState::kCancelled;
+  job.record.error = reason;
+  job.record.wait_seconds = job.queued_at.seconds();
+  obs::registry().counter("gct_job_runs_total{state=\"cancelled\"}").add();
+  if (job.on_terminal) {
+    fired.emplace_back(std::move(job.on_terminal), job.record);
+  }
+  retire_locked(job.record.id);
+  terminal_cv_.notify_all();
+}
+
+int JobQueue::cancel_all_locked(const std::string& reason, Fired& fired) {
+  int cancelled = 0;
+  for (auto& [session, dq] : pending_by_session_) {
+    for (const std::uint64_t id : dq) {
+      cancel_locked(*jobs_.at(id), reason, fired);
+      ++cancelled;
+    }
+  }
+  pending_by_session_.clear();
+  rotation_.clear();
+  pending_total_ = 0;
+  note_queue_depth(0);
+  return cancelled;
+}
+
 bool JobQueue::cancel(std::uint64_t id) {
-  OnTerminal fire;
-  JobRecord record;
+  Fired fired;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
     if (it == jobs_.end() || it->second->record.state != JobState::kQueued) {
       return false;
     }
-    auto& job = it->second;
-    unqueue_locked(job);
-    job->record.state = JobState::kCancelled;
-    job->record.wait_seconds = job->queued_at.seconds();
-    obs::registry().counter("gct_job_runs_total{state=\"cancelled\"}").add();
-    fire = std::move(job->on_terminal);
-    record = job->record;
-    retire_locked(id);
-    terminal_cv_.notify_all();
+    unqueue_locked(it->second);
+    cancel_locked(*it->second, "", fired);
   }
-  if (fire) fire(record);
+  for (auto& [fire, record] : fired) fire(record);
   return true;
 }
 
 int JobQueue::cancel_pending() {
-  std::vector<std::pair<OnTerminal, JobRecord>> fired;
+  Fired fired;
   int cancelled = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [session, dq] : pending_by_session_) {
-      for (const std::uint64_t id : dq) {
-        auto& job = jobs_.at(id);
-        job->record.state = JobState::kCancelled;
-        job->record.error = "server stopping";
-        job->record.wait_seconds = job->queued_at.seconds();
-        obs::registry()
-            .counter("gct_job_runs_total{state=\"cancelled\"}")
-            .add();
-        if (job->on_terminal) {
-          fired.emplace_back(std::move(job->on_terminal), job->record);
-        }
-        retire_locked(id);
-        ++cancelled;
-      }
-    }
-    pending_by_session_.clear();
-    rotation_.clear();
-    pending_total_ = 0;
-    note_queue_depth(0);
-    terminal_cv_.notify_all();
+    cancelled = cancel_all_locked("server stopping", fired);
   }
   for (auto& [fire, record] : fired) fire(record);
   return cancelled;
@@ -367,27 +369,12 @@ int JobQueue::queued() const {
 }
 
 void JobQueue::shutdown() {
-  std::vector<std::pair<OnTerminal, JobRecord>> fired;
+  Fired fired;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_ && workers_.empty()) return;
     shutdown_ = true;
-    for (auto& [session, dq] : pending_by_session_) {
-      for (const std::uint64_t id : dq) {
-        auto& job = jobs_.at(id);
-        job->record.state = JobState::kCancelled;
-        job->record.error = "server shutting down";
-        if (job->on_terminal) {
-          fired.emplace_back(std::move(job->on_terminal), job->record);
-        }
-        retire_locked(id);
-      }
-    }
-    pending_by_session_.clear();
-    rotation_.clear();
-    pending_total_ = 0;
-    note_queue_depth(0);
-    terminal_cv_.notify_all();
+    cancel_all_locked("server shutting down", fired);
   }
   for (auto& [fire, record] : fired) fire(record);
   work_cv_.notify_all();

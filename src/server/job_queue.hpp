@@ -177,17 +177,13 @@ class JobQueue {
   /// Queued (not yet running) jobs right now.
   [[nodiscard]] int queued() const;
 
-  [[nodiscard]] int num_workers() const {
-    return static_cast<int>(workers_.size());
-  }
-
-  [[nodiscard]] const QueueLimits& limits() const { return limits_; }
-
   /// Stop accepting work, cancel queued jobs, join workers (idempotent).
   void shutdown();
 
  private:
   struct Internal;
+  /// Completion hooks to fire, with their records, once mu_ is released.
+  using Fired = std::vector<std::pair<OnTerminal, JobRecord>>;
 
   void worker_loop();
   /// Pop the next runnable job id, rotating session order for fairness;
@@ -198,6 +194,13 @@ class JobQueue {
   /// Note that `id` just reached a terminal state and drop the oldest
   /// finished record past kJobHistory; requires mu_ held.
   void retire_locked(std::uint64_t id);
+  /// Cancel a job already taken off the pending queues: mark it cancelled
+  /// with `reason`, record its queue wait, count it, retire it, and add its
+  /// completion hook to `fired`; requires mu_ held.
+  void cancel_locked(Internal& job, const std::string& reason, Fired& fired);
+  /// cancel_locked() every queued job and empty the pending queues;
+  /// requires mu_ held. Returns how many were cancelled.
+  int cancel_all_locked(const std::string& reason, Fired& fired);
 
   QueueLimits limits_;
   mutable std::mutex mu_;

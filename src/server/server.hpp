@@ -110,7 +110,6 @@ class Server {
 
   [[nodiscard]] GraphRegistry& registry() { return registry_; }
   [[nodiscard]] JobQueue& jobs() { return queue_; }
-  [[nodiscard]] const ServerLimits& limits() const { return opts_.limits; }
 
   /// Open an in-process session. `name` defaults to "s<counter>". The
   /// session holds references into this server; drop it before the server.

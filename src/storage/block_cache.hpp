@@ -70,7 +70,6 @@ class BlockCache {
   const Decoded& insert(Decoded d);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t resident_blocks() const { return blocks_.size(); }
   [[nodiscard]] std::uint64_t budget_bytes() const { return budget_; }
 
  private:

@@ -19,12 +19,11 @@ int num_threads() { return omp_get_max_threads(); }
 
 int effective_num_threads() { return obs::effective_threads(); }
 
-void set_num_threads(int n) {
-  if (n <= 0) {
-    omp_set_num_threads(omp_get_num_procs());
-  } else {
-    omp_set_num_threads(n);
-  }
+void set_num_threads(std::int64_t n) {
+  GCT_CHECK(n >= 0 && n <= kMaxThreads,
+            "thread count " + std::to_string(n) + " out of range [0, " +
+                std::to_string(kMaxThreads) + "] (0 = default)");
+  omp_set_num_threads(n == 0 ? omp_get_num_procs() : static_cast<int>(n));
   obs::registry()
       .gauge("gct_omp_threads_requested")
       .set(static_cast<double>(num_threads()));

@@ -26,10 +26,15 @@ int num_threads();
 /// a hot path; profiles and job records use this.
 int effective_num_threads();
 
+/// Largest thread count set_num_threads() accepts; dist workers take the
+/// same bound for their per-worker teams.
+inline constexpr std::int64_t kMaxThreads = 256;
+
 /// Override the number of threads for subsequent parallel regions
-/// (0 restores the runtime default). Records the requested and effective
-/// counts as gauges (gct_omp_threads_{requested,effective}).
-void set_num_threads(int n);
+/// (0 restores the runtime default). Throws graphct::Error, before any
+/// OpenMP call, when `n` is outside [0, kMaxThreads]. Records the requested
+/// and effective counts as gauges (gct_omp_threads_{requested,effective}).
+void set_num_threads(std::int64_t n);
 
 /// Atomic fetch-and-add on a 64-bit integer; returns the previous value.
 /// This is the paper's sole synchronization primitive (§II-B).

@@ -46,7 +46,6 @@ class WorkQueue {
   /// Size to `num_queues` per-thread deques and drop any leftover chunks.
   /// Deque storage is reused when the count is unchanged.
   void reset(int num_queues);
-  [[nodiscard]] int num_queues() const { return count_; }
 
   /// Split [begin, end) into per-owner contiguous spans, each chopped into
   /// chunks of `chunk` items, and deal span t to deque t. Owners then drain

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "gen/shapes.hpp"
@@ -362,10 +363,20 @@ TEST(InterpreterTest, ThreadsCommandPinsOpenMp) {
   EXPECT_GE(graphct::num_threads(), 1);
 }
 
-TEST(InterpreterTest, ThreadsNegativeThrows) {
+// Counts outside [0, kMaxThreads] are rejected before any OpenMP call, and
+// the int64 is checked before it is narrowed: 2^32 + 1 once ran as 1
+// thread.
+TEST(InterpreterTest, ThreadsOutOfRangeThrowsAndKeepsTheCount) {
   std::ostringstream out;
   Interpreter in(out, fast_opts());
-  EXPECT_THROW(in.run("threads -3\n"), graphct::Error);
+  const int requested = in.requested_threads();
+  const int threads = graphct::num_threads();
+  for (const char* n : {"-3", "257", "4294967297"}) {
+    EXPECT_THROW(in.run(std::string("threads ") + n + "\n"), graphct::Error)
+        << n;
+    EXPECT_EQ(in.requested_threads(), requested) << n;
+    EXPECT_EQ(graphct::num_threads(), threads) << n;
+  }
 }
 
 TEST(InterpreterTest, LoadAndUseGraphViaProvider) {
@@ -582,6 +593,82 @@ TEST(InterpreterTest, ThreadsEchoesEffectiveCount) {
   EXPECT_NE(out.str().find("threads set to 2 (effective "),
             std::string::npos);
   in.run("threads 0\n");  // back to the hardware default
+}
+
+// bc, kcentrality, pagerank and closeness share one report: the ten most
+// central vertices on screen, or every vertex's score in the redirect
+// file. Pinned on the 10-vertex Krackhardt kite, where the ten on screen
+// are every vertex, so the file must hold the same scores in vertex order.
+TEST(InterpreterTest, ScoreVerbsReportTopTenOrRedirectFile) {
+  const std::string el = temp_path("gct_interp_kite.el");
+  const std::string file = temp_path("gct_interp_scores.txt");
+  {
+    std::ofstream f(el);
+    f << "0 1\n0 2\n0 3\n0 5\n1 3\n1 4\n1 6\n2 3\n2 5\n3 4\n3 5\n3 6\n"
+         "4 6\n5 6\n5 7\n6 7\n7 8\n8 9\n";
+  }
+  struct Case {
+    const char* command;
+    const char* top_ten;
+  };
+  const Case cases[] = {
+      {"bc 10",
+       "  vertex 7  score 28\n  vertex 5  score 16.6667\n"
+       "  vertex 6  score 16.6667\n  vertex 8  score 16\n"
+       "  vertex 3  score 7.33333\n  vertex 0  score 1.66667\n"
+       "  vertex 1  score 1.66667\n  vertex 2  score 0\n"
+       "  vertex 4  score 0\n  vertex 9  score 0\n"},
+      {"kcentrality 1 10",
+       "  vertex 7  score 29.4\n  vertex 5  score 26.7992\n"
+       "  vertex 6  score 26.7992\n  vertex 3  score 23.2952\n"
+       "  vertex 8  score 16\n  vertex 0  score 8.41032\n"
+       "  vertex 1  score 8.41032\n  vertex 2  score 4.50556\n"
+       "  vertex 4  score 4.50556\n  vertex 9  score -2.22045e-16\n"},
+      {"pagerank",
+       "  vertex 3  score 0.147148\n  vertex 5  score 0.128907\n"
+       "  vertex 6  score 0.128907\n  vertex 1  score 0.10192\n"
+       "  vertex 0  score 0.10192\n  vertex 7  score 0.0952483\n"
+       "  vertex 8  score 0.085694\n  vertex 2  score 0.0794181\n"
+       "  vertex 4  score 0.0794181\n  vertex 9  score 0.0514199\n"},
+      {"closeness 10",
+       "  vertex 3  score 7.08333\n  vertex 5  score 6.83333\n"
+       "  vertex 6  score 6.83333\n  vertex 0  score 6.08333\n"
+       "  vertex 1  score 6.08333\n  vertex 7  score 6\n"
+       "  vertex 2  score 5.58333\n  vertex 4  score 5.58333\n"
+       "  vertex 8  score 4.66667\n  vertex 9  score 3.41667\n"},
+  };
+  for (const Case& c : cases) {
+    std::ostringstream out;
+    Interpreter in(out, fast_opts());
+    in.run("read edgelist " + el + "\n" + c.command + "\n");
+    std::string screen;
+    std::map<long, std::string> by_vertex;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);) {
+      long v = 0;
+      char score[32];
+      if (std::sscanf(line.c_str(), "  vertex %ld  score %31s", &v, score) ==
+          2) {
+        screen += line + "\n";
+        by_vertex[v] = score;
+      }
+    }
+    EXPECT_EQ(screen, c.top_ten) << c.command;
+
+    out.str("");
+    in.run(std::string(c.command) + " => " + file + "\n");
+    EXPECT_EQ(out.str().find("  vertex "), std::string::npos) << c.command;
+    std::ifstream f(file);
+    std::ostringstream written;
+    written << f.rdbuf();
+    std::string expected;
+    for (const auto& [v, score] : by_vertex) {
+      expected += std::to_string(v) + " " + score + "\n";
+    }
+    EXPECT_EQ(written.str(), expected) << c.command;
+  }
+  std::remove(el.c_str());
+  std::remove(file.c_str());
 }
 
 TEST(InterpreterTest, PartitionInfoPrintsBlocks) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/betweenness.hpp"
 #include "gen/random_graphs.hpp"
 #include "gen/rmat.hpp"
@@ -99,6 +101,30 @@ TEST(KBetweennessTest, NegativeKThrows) {
   KBetweennessOptions o;
   o.k = -1;
   EXPECT_THROW(k_betweenness_centrality(g, o), Error);
+}
+
+// A slack whose workspace counts overflow int64 (or the byte count uint64)
+// is rejected before anything is allocated. The first two once wrapped the
+// slack tables to empty on an even vertex count and crashed in the first
+// write.
+TEST(KBetweennessTest, SlackThatOverflowsTheWorkspaceThrows) {
+  struct Case {
+    CsrGraph g;
+    std::int64_t k;
+  };
+  const Case cases[] = {
+      {cycle_graph(6), std::numeric_limits<std::int64_t>::max()},  // k + 1
+      {cycle_graph(6), (std::int64_t{1} << 62) - 1},  // 2(k + 1)
+      {cycle_graph(6), (std::int64_t{1} << 60) - 1},  // (2(k + 1) + 1) n
+      {cycle_graph(6), (std::int64_t{1} << 58) - 1},  // bytes of that
+      {complete_graph(16), (std::int64_t{1} << 55) - 1},  // 2(k + 1) m
+  };
+  for (const Case& c : cases) {
+    KBetweennessOptions o;
+    o.k = c.k;
+    o.num_sources = 1;
+    EXPECT_THROW(k_betweenness_centrality(c.g, o), Error) << c.k;
+  }
 }
 
 TEST(KBetweennessTest, SampledSourcesSubsetAndDeterministic) {

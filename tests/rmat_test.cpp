@@ -93,6 +93,11 @@ TEST(RmatTest, InvalidOptionsThrow) {
   o.edge_factor = 4;
   o.a = 1.2;
   EXPECT_THROW(rmat_edges(o), Error);
+  // 4 x 2^62 edges overflow int64; the count once wrapped to 0 edges.
+  o.a = 0.55;
+  o.scale = 2;
+  o.edge_factor = std::int64_t{1} << 62;
+  EXPECT_THROW(rmat_edges(o), Error);
 }
 
 }  // namespace

@@ -19,7 +19,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -501,12 +503,91 @@ TEST(JobQueueTest, HistoryKeepsTheNewestFinishedJobs) {
   EXPECT_TRUE(q.get(total).has_value());
 }
 
+// A job's thread count goes through set_num_threads, so a count past
+// kMaxThreads fails that job before any OpenMP call, and the worker runs
+// the next job.
+TEST(JobQueueTest, ThreadCountPastTheBoundFailsOnlyThatJob) {
+  JobQueue q(1);
+  const auto wide = q.try_submit("s", "", "wide", noop_job, 257);
+  const auto narrow = q.try_submit("s", "", "narrow", noop_job, 1);
+  ASSERT_EQ(wide.admission, Admission::kAdmitted);
+  ASSERT_EQ(narrow.admission, Admission::kAdmitted);
+  const JobRecord r = q.wait(wide.id);
+  EXPECT_EQ(r.state, JobState::kFailed);
+  EXPECT_NE(r.error.find("out of range"), std::string::npos) << r.error;
+  EXPECT_EQ(q.wait(narrow.id).state, JobState::kDone);
+}
+
 TEST(JobQueueTest, TrySubmitAfterShutdownSheds) {
   JobQueue q(1);
   q.shutdown();
   const auto r = q.try_submit("s", "", "cmd", noop_job);
   EXPECT_EQ(r.admission, Admission::kShedShutdown);
   EXPECT_EQ(r.id, 0u);
+}
+
+// cancel_pending() and shutdown() cancel queued jobs through the same
+// routine as cancel(): each job gets the stop reason, its queue wait and
+// one gct_job_runs_total{state="cancelled"} count, and fires its hook once.
+TEST(JobQueueTest, StoppingCancelsEachQueuedJobOnceWithWaitAndCount) {
+  const obs::Counter& cancelled =
+      obs::registry().counter("gct_job_runs_total{state=\"cancelled\"}");
+  struct Case {
+    const char* reason;
+    std::function<void(JobQueue&)> stop;
+  };
+  const Case cases[] = {
+      {"server stopping",
+       [](JobQueue& q) { EXPECT_EQ(q.cancel_pending(), 3); }},
+      {"server shutting down", [](JobQueue& q) { q.shutdown(); }},
+  };
+  for (const Case& c : cases) {
+    constexpr int kQueued = 3;
+    std::mutex mu;
+    std::map<std::uint64_t, std::vector<JobRecord>> fired;
+    std::atomic<int> fired_count{0};
+    JobQueue q(1);
+    std::promise<void> release;
+    auto released = release.get_future().share();
+    std::atomic<bool> running{false};
+    admit(q, "x", "graph:block", "blocker", [&](JobCounters&) {
+      running.store(true);
+      released.wait();
+      return std::string();
+    });
+    while (!running.load()) std::this_thread::yield();
+    for (int i = 0; i < kQueued; ++i) {
+      const auto r = q.try_submit(
+          "s" + std::to_string(i % 2), "graph:block", "victim", noop_job, 0,
+          [&](const JobRecord& rec) {
+            std::lock_guard<std::mutex> lock(mu);
+            fired[rec.id].push_back(rec);
+            fired_count.fetch_add(1);
+          });
+      ASSERT_EQ(r.admission, Admission::kAdmitted);
+    }
+    std::this_thread::sleep_for(2ms);  // every job waits a measurable time
+    const std::int64_t before = cancelled.value();
+    // shutdown() joins the worker, so it runs beside the blocker's release.
+    std::thread stopper([&] { c.stop(q); });
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (fired_count.load() < kQueued &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    release.set_value();
+    stopper.join();
+
+    EXPECT_EQ(cancelled.value() - before, kQueued) << c.reason;
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(fired.size(), static_cast<std::size_t>(kQueued)) << c.reason;
+    for (const auto& [id, records] : fired) {
+      ASSERT_EQ(records.size(), 1u) << c.reason << " job " << id;
+      EXPECT_EQ(records[0].state, JobState::kCancelled) << c.reason;
+      EXPECT_EQ(records[0].error, c.reason);
+      EXPECT_GT(records[0].wait_seconds, 0.0) << c.reason << " job " << id;
+    }
+  }
 }
 
 // ------------------------------------------------------------- sessions --
@@ -633,6 +714,27 @@ TEST(ServerTest, MetricsVerbExposesRegistry) {
   // One JSON line plus the ok terminator.
   EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 2);
   EXPECT_EQ(json.substr(json.size() - 3), "ok\n");
+}
+
+// A kcentrality slack that overflows the workspace sizes is an error reply,
+// not a crash of the server: the session answers its next command, and the
+// failed key leaves no entry in the graph's ResultCache.
+TEST(ServerTest, OverflowingKbcSlackIsAnErrorAndTheSessionServesOn) {
+  Server srv(fast_server_opts());
+  const auto tk = srv.registry().add("even", cycle_graph(6));
+  auto session = srv.open_session();
+  session->handle_line("use graph even");
+  const std::int64_t entries = tk->cache_stats().entries;
+  for (const char* k : {"9223372036854775807", "4611686018427387903"}) {
+    const std::string resp =
+        session->handle_line(std::string("kcentrality ") + k + " 1");
+    EXPECT_NE(resp.find("error "), std::string::npos) << resp;
+    EXPECT_NE(resp.find("overflows"), std::string::npos) << resp;
+    EXPECT_EQ(tk->cache_stats().entries, entries) << k;
+  }
+  EXPECT_NE(session->handle_line("kcentrality 1 2").find("\nok job="),
+            std::string::npos);
+  EXPECT_EQ(tk->cache_stats().entries, entries + 1);
 }
 
 TEST(ServerTest, ThreadsCommandPinsJobParallelism) {

@@ -526,9 +526,10 @@ int cmd_worker(const Cli& cli) {
   opts.port = static_cast<int>(cli.get("port", std::int64_t{0}));
   GCT_CHECK(opts.port >= 0 && opts.port <= 65535,
             "worker: --port must be in [0, 65535]");
-  opts.threads = static_cast<int>(cli.get("threads", std::int64_t{1}));
-  GCT_CHECK(opts.threads >= 1 && opts.threads <= 256,
+  const std::int64_t threads = cli.get("threads", std::int64_t{1});
+  GCT_CHECK(threads >= 1 && threads <= graphct::kMaxThreads,
             "worker: --threads must be in [1, 256]");
+  opts.threads = static_cast<int>(threads);
   opts.fail_after = cli.get("fail-after", std::int64_t{-1});
   dist::WorkerServer server(opts);
   std::cout << "graphct worker listening on 127.0.0.1:" << server.port()
@@ -546,7 +547,7 @@ int main(int argc, char** argv) {
     // and after it; the leading form is consumed here.
     const auto parse_threads = [](const std::string& value) {
       try {
-        return std::stoi(value);
+        return std::stoll(value);
       } catch (const std::exception&) {
         throw graphct::Error("--threads: expected a number, got '" + value +
                              "'");
