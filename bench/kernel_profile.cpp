@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                              ? std::int64_t{32}
                              : cli.get("sources", std::int64_t{256});
     const auto threads = cli.get("threads", std::int64_t{0});
-    if (threads > 0) set_num_threads(static_cast<int>(threads));
+    if (threads != 0) set_num_threads(threads);  // throws outside [0, kMaxThreads]
 
     RmatOptions r;
     r.scale = scale;

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
                              ? std::int64_t{16}
                              : cli.get("sources", std::int64_t{32});
     const auto threads = cli.get("threads", std::int64_t{0});
-    set_num_threads(static_cast<int>(threads));
+    set_num_threads(threads);  // throws outside [0, kMaxThreads]
 
     RmatOptions r;
     r.scale = scale;
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
         o.seed = 5;
         return betweenness_centrality(view, o).score;
       });
-      set_num_threads(static_cast<int>(threads));
+      set_num_threads(threads);
       print_kernel_row(row, meta);
       all_parity = all_parity && row.parity;
     }
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
             if (view.store_backed()) o.score_memory_budget_bytes = no_layout;
             return betweenness_centrality(view, o).score;
           });
-      set_num_threads(static_cast<int>(threads));
+      set_num_threads(threads);
       print_kernel_row(row, meta);
       all_parity = all_parity && row.parity;
     }

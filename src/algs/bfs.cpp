@@ -168,12 +168,10 @@ void expand_bottom_up(const GraphView& g, std::vector<vid>& distance,
 // sweep reads — a GraphView, or a BcLayout with int32 ids — and only
 // vertices below `bound` are ever discovered: all n for a view, the core
 // for a layout, whose leaves betweenness fills in from their parents. (The
-// source itself may be a leaf: it is the root, not a discovery.)
+// source itself may be a leaf: it is the root, not a discovery.) Discovery
+// reads out-rows (`g`); the sigma pulls read in-rows (`in`), which for an
+// undirected graph are the same rows.
 
-// Vertices per work chunk, and the level size below which a level runs
-// serially inside the calling thread (no region fork, no atomics).
-constexpr std::int64_t kLevelChunk = 64;
-constexpr std::int64_t kLevelSerialBelow = 512;
 // Bottom-up sweeps are scheduled in words (64 vertices each).
 constexpr std::int64_t kWordChunk = 16;
 constexpr std::int64_t kWordSerialBelow = 256;
@@ -225,12 +223,12 @@ void expand_top_down_sigma(const Rows& g, vid bound, std::vector<vid>& distance,
 }
 
 // Pull shortest-path counts into the freshly discovered level order[lo,hi):
-// each new vertex sums sigma over its depth-1 neighbors in adjacency order.
+// each new vertex sums sigma over its depth-1 in-neighbors in row order.
 // Writes are per-vertex exclusive and reads are one level back, so there are
 // no atomics and the sums — being fixed-order — are bit-identical for any
 // thread count.
 template <typename Rows>
-void pull_sigma_level(const Rows& g, const std::vector<vid>& distance,
+void pull_sigma_level(const Rows& in, const std::vector<vid>& distance,
                       const std::vector<vid>& order, eid lo, eid hi, vid depth,
                       std::vector<double>& sigma, WorkQueue& wq,
                       int nthreads) {
@@ -249,7 +247,7 @@ void pull_sigma_level(const Rows& g, const std::vector<vid>& distance,
                    // neighbor index, so the sum is bit-identical to the
                    // bottom-up sweep's and to the dist worker's for the
                    // same vertex (engine- and dist-parity tests pin this).
-                   const auto nbrs = g.neighbors(v);
+                   const auto nbrs = in.neighbors(v);
                    const double* sg = sigma.data();
                    sigma[static_cast<std::size_t>(v)] = bc_pull_sigma_row(
                        nbrs.data(), static_cast<std::int64_t>(nbrs.size()), sg,
@@ -260,8 +258,8 @@ void pull_sigma_level(const Rows& g, const std::vector<vid>& distance,
                });
 }
 
-// Fused bottom-up level: discovery and sigma in one adjacency scan. Each
-// undiscovered vertex below `bound` sums sigma over frontier neighbors;
+// Fused bottom-up level: discovery and sigma in one in-row scan. Each
+// undiscovered vertex below `bound` sums sigma over frontier in-neighbors;
 // unlike the plain BFS sweep it cannot break at the first hit — every
 // shortest-path predecessor must be counted — and the non-zero sum IS the
 // discovery test (path counts are >= 1). Word-partitioned, so the bit
@@ -270,7 +268,7 @@ void pull_sigma_level(const Rows& g, const std::vector<vid>& distance,
 // which no thread writes this level. Summation order is adjacency order,
 // identical to the top-down pull.
 template <typename Rows>
-void expand_bottom_up_sigma(const Rows& g, vid bound,
+void expand_bottom_up_sigma(const Rows& in, vid bound,
                             std::vector<vid>& distance, vid depth,
                             const Bitmap& frontier, Bitmap& visited,
                             Bitmap& next, std::vector<double>& sigma,
@@ -293,7 +291,7 @@ void expand_bottom_up_sigma(const Rows& g, vid bound,
             // finite, so the unconditional load is safe). The frontier
             // bitmap is small enough to live in L1; only sigma is worth
             // prefetching.
-            const auto nbrs = g.neighbors(v);
+            const auto nbrs = in.neighbors(v);
             const double acc = bc_pull_sigma_row(
                 nbrs.data(), static_cast<std::int64_t>(nbrs.size()),
                 sigma.data(),
@@ -309,12 +307,13 @@ void expand_bottom_up_sigma(const Rows& g, vid bound,
       });
 }
 
-// The fused sweep over `g`, discovering vertices below `bound` only; the
-// direction switch sees `bound_entries` (the adjacency entries of those
-// vertices' rows) as the graph's size.
+// The fused sweep over out-rows `g` and in-rows `in`, discovering vertices
+// below `bound` only; the direction switch sees `bound_entries` (the
+// adjacency entries of those vertices' rows) as the graph's size.
 template <typename Rows>
-void forward_sweep(const Rows& g, vid bound, eid bound_entries, vid source,
-                   BfsResult& r, std::vector<double>& sigma) {
+void forward_sweep(const Rows& g, const Rows& in, vid bound,
+                   eid bound_entries, vid source, BfsResult& r,
+                   std::vector<double>& sigma) {
   // Hybrid switch thresholds (see bfs.hpp for why they differ from plain
   // BFS's 14/24).
   constexpr double kAlpha = 28.0;
@@ -368,7 +367,7 @@ void forward_sweep(const Rows& g, vid bound, eid bound_entries, vid source,
                                 hi - lo);
       }
       sc.next.clear();
-      expand_bottom_up_sigma(g, bound, r.distance, depth, sc.frontier,
+      expand_bottom_up_sigma(in, bound, r.distance, depth, sc.frontier,
                              sc.visited, sc.next, sigma, sc.queue, nthreads);
       tail = hi + compact_set_bits(
                       sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
@@ -382,7 +381,7 @@ void forward_sweep(const Rows& g, vid bound, eid bound_entries, vid source,
       tail = hi + compact_set_bits(
                       sc.next, r.order.data() + static_cast<std::ptrdiff_t>(hi),
                       sc.block_counts);
-      pull_sigma_level(g, r.distance, r.order, hi, tail, depth, sigma,
+      pull_sigma_level(in, r.distance, r.order, hi, tail, depth, sigma,
                        sc.queue, nthreads);
       visited_valid = false;
     }
@@ -407,18 +406,6 @@ void forward_sweep(const Rows& g, vid bound, eid bound_entries, vid source,
 }
 
 }  // namespace
-
-void BfsResult::sort_levels() {
-  const auto num_levels =
-      static_cast<std::int64_t>(level_offsets.size()) - 1;
-  for (std::int64_t d = 0; d < num_levels; ++d) {
-    std::sort(
-        order.begin() + static_cast<std::ptrdiff_t>(
-                            level_offsets[static_cast<std::size_t>(d)]),
-        order.begin() + static_cast<std::ptrdiff_t>(
-                            level_offsets[static_cast<std::size_t>(d) + 1]));
-  }
-}
 
 BfsResult bfs(const GraphView& g, vid source, const BfsOptions& opts) {
   // Kernel root lives on the wrapper, not bfs_into(): kernels that run one
@@ -561,18 +548,20 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
   // compaction, which yields ascending vertex ids for any thread count.
 }
 
-void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
-                      std::vector<double>& sigma) {
-  GCT_CHECK(!g.directed(),
-            "bc_forward_sweep: requires an undirected graph (sigma pulls use "
-            "out-neighbors as in-neighbors)");
-  forward_sweep(g, g.num_vertices(), g.num_adjacency_entries(), source, r,
+void bc_forward_sweep(const GraphView& g, const GraphView& in, vid source,
+                      BfsResult& r, std::vector<double>& sigma) {
+  GCT_CHECK(in.num_vertices() == g.num_vertices() &&
+                in.num_adjacency_entries() == g.num_adjacency_entries() &&
+                in.directed() == g.directed(),
+            "bc_forward_sweep: in-rows must be the graph's reverse (the same "
+            "vertex count, entry count and directedness)");
+  forward_sweep(g, in, g.num_vertices(), g.num_adjacency_entries(), source, r,
                 sigma);
 }
 
 void bc_forward_sweep(const BcLayout& g, vid source, BfsResult& r,
                       std::vector<double>& sigma) {
-  forward_sweep(g, g.num_core,
+  forward_sweep(g, g, g.num_core,
                 g.offsets[static_cast<std::size_t>(g.num_core)], source, r,
                 sigma);
 }

@@ -22,7 +22,8 @@
 ///  * kDirectionOptimizing — switches to bottom-up sweeps when the frontier
 ///    is a large fraction of the graph (Beamer-style); undirected graphs
 ///    only. Closeness and k-betweenness run it by default, and betweenness
-///    runs its fused sigma variant (bc_forward_sweep).
+///    runs its fused sigma variant (bc_forward_sweep), which takes the
+///    in-rows as a second argument and so runs on directed graphs too.
 
 #include <cstdint>
 #include <vector>
@@ -58,9 +59,9 @@ struct BfsOptions {
   /// Emit each BFS level in ascending vertex id so `order` is
   /// schedule-independent. This costs no sort: deterministic levels are
   /// produced by bitmap compaction, which is ordered by construction for any
-  /// thread count. Centrality kernels still disable it — their per-vertex
-  /// accumulations are order-invariant, and the per-thread discovery queues
-  /// skip the bitmap's O(n/64) per-level scan on high-diameter graphs.
+  /// thread count. Closeness and the diameter estimate disable it — they
+  /// read distances only, and the per-thread discovery queues skip the
+  /// bitmap's O(n/64) per-level scan on high-diameter graphs.
   bool deterministic_order = true;
 };
 
@@ -85,15 +86,6 @@ struct BfsResult {
   [[nodiscard]] vid max_distance() const {
     return static_cast<vid>(level_offsets.size()) - 2;
   }
-
-  /// Rewrite each level's slice of `order` into ascending vertex id.
-  /// Callers whose per-level sweeps are order-invariant (the centrality
-  /// kernels — see BfsOptions::deterministic_order) use this to make
-  /// their adjacency reads sequential: over a packed GraphStore,
-  /// discovery-order iteration touches blocks near-randomly and thrashes
-  /// the decode cache, turning each sweep into hundreds of full-graph
-  /// decodes.
-  void sort_levels();
 };
 
 /// Run BFS from `source`. Throws if source is out of range. Takes a
@@ -111,18 +103,21 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
 /// Brandes forward sweep: BFS levels and shortest-path counts (sigma) in a
 /// single direction-optimizing pass. This is the front half of betweenness's
 /// accumulate_source, fused so the adjacency is streamed once per level
-/// instead of once for discovery and again for the sigma sweep:
+/// instead of once for discovery and again for the sigma sweep. `g` holds
+/// the out-rows and `in` the in-rows: the reverse of a directed graph, and
+/// `g` itself for an undirected one.
 ///
-///  * top-down levels discover via the bitmap engine (CAS on distance, bit
-///    order = vertex order), then pull sigma into the newly compacted level
-///    — each new vertex sums sigma over its depth-1 neighbors in adjacency
-///    order, so no atomics and no schedule dependence;
+///  * top-down levels discover via the bitmap engine over out-rows (CAS on
+///    distance, bit order = vertex order), then pull sigma into the newly
+///    compacted level — each new vertex sums sigma over its depth-1
+///    in-neighbors in in-row order, so no atomics and no schedule
+///    dependence;
 ///  * bottom-up levels fuse discovery and sigma: every undiscovered vertex
-///    scans its full neighbor list summing sigma over frontier members; a
-///    non-zero sum IS discovery (word-partitioned, owner-exclusive bit and
-///    sigma writes, no atomics at all).
+///    scans its full in-row summing sigma over frontier members; a non-zero
+///    sum IS discovery (word-partitioned, owner-exclusive bit and sigma
+///    writes, no atomics at all).
 ///
-/// Both directions sum sigma in adjacency order over the same predecessor
+/// Both directions sum sigma in in-row order over the same predecessor
 /// sets, so sigma — and everything derived from it — is bit-identical for
 /// any thread count and any hybrid/top-down switch schedule. Levels are
 /// emitted in ascending vertex id by bitmap compaction (no post-sort).
@@ -134,17 +129,16 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
 /// predecessor must be summed, so bottom-up pays full degree per
 /// undiscovered vertex and only wins on the fattest levels.
 ///
-/// Undirected graphs only: both directions read a vertex's neighbor list as
-/// its in-edges, which on a directed CSR are its out-arcs. Throws on a
-/// directed graph.
+/// Throws when `in` differs from `g` in vertex count, entry count or
+/// directedness.
 ///
 /// `sigma` must have room for n entries; only entries of reached vertices
 /// are written (each exactly once — no pre-clearing needed).
-void bc_forward_sweep(const GraphView& g, vid source, BfsResult& r,
-                      std::vector<double>& sigma);
+void bc_forward_sweep(const GraphView& g, const GraphView& in, vid source,
+                      BfsResult& r, std::vector<double>& sigma);
 
 /// The same sweep over an undirected graph's BcLayout (layout ids in and
-/// out). It discovers core vertices only: a leaf is reached only through
+/// out), whose rows are their own in-rows. It discovers core vertices only: a leaf is reached only through
 /// its parent, so its distance and sigma follow from the parent's, and
 /// every term it adds to a core vertex's sum is exactly zero. Leaves stay
 /// at kNoVertex, except a leaf source, which is the root. In an identity

@@ -7,6 +7,7 @@
 #include "algs/bc_accum.hpp"
 #include "algs/bc_layout.hpp"
 #include "algs/bfs.hpp"
+#include "graph/transforms.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -15,11 +16,6 @@
 namespace graphct {
 
 namespace {
-
-// Level chunking for the work-stealing backward sweep (matches the forward
-// sweep's granularity in bfs.cpp).
-constexpr std::int64_t kBcLevelChunk = 64;
-constexpr std::int64_t kBcLevelSerialBelow = 512;
 
 // Per-vertex backward-sweep state (DistCoef) and the canonical 4-lane
 // accumulation rows live in algs/bc_accum.hpp, shared with the forward
@@ -36,52 +32,6 @@ struct BcWorkspace {
       : sigma(static_cast<std::size_t>(n)),
         dc(static_cast<std::size_t>(n), DistCoef{0.0, 0}) {}
 };
-
-/// Directed forward pass: the push baseline. Directed CSR stores
-/// out-neighbors only, so the pull engine (which reads a vertex's neighbor
-/// list as its in-edges) cannot run; sigma flows by fetch-and-add pushes
-/// along arcs instead. Levels come out ascending (deterministic bitmap path
-/// for packed stores, post-sort otherwise) so the backward sweep's reads
-/// stay sequential and scores stay bitwise equal across storage backends.
-void forward_push_directed(const GraphView& g, vid s, BfsResult& b,
-                           std::vector<double>& sigma) {
-  BfsOptions bopts;
-  bopts.deterministic_order = g.store_backed();
-  {
-    // Spans here record only in the fine plan, where this runs on the
-    // orchestrating thread; coarse team workers have no sink.
-    GCT_SPAN("bc.bfs");
-    bfs_into(g, s, bopts, b);
-    b.sort_levels();
-  }
-  const auto& dist = b.distance;
-  const vid reached = b.num_reached();
-  // Pushes accumulate, so reached entries must start at zero (the pull
-  // engine skips this: it assigns each sigma exactly once).
-  for (eid i = 0; i < reached; ++i) {
-    sigma[static_cast<std::size_t>(b.order[static_cast<std::size_t>(i)])] = 0.0;
-  }
-  sigma[static_cast<std::size_t>(s)] = 1.0;
-
-  GCT_SPAN("bc.forward");
-  const std::int64_t num_levels =
-      static_cast<std::int64_t>(b.level_offsets.size()) - 1;
-  for (std::int64_t d = 0; d + 1 < num_levels; ++d) {
-    const eid lo = b.level_offsets[static_cast<std::size_t>(d)];
-    const eid hi = b.level_offsets[static_cast<std::size_t>(d) + 1];
-#pragma omp parallel for schedule(dynamic, 64) if (hi - lo >= kBcLevelSerialBelow)
-    for (eid i = lo; i < hi; ++i) {
-      const vid u = b.order[static_cast<std::size_t>(i)];
-      const double su = sigma[static_cast<std::size_t>(u)];
-      for (vid v : g.neighbors(u)) {
-        if (dist[static_cast<std::size_t>(v)] ==
-            dist[static_cast<std::size_t>(u)] + 1) {
-          fetch_add(sigma[static_cast<std::size_t>(v)], su);
-        }
-      }
-    }
-  }
-}
 
 /// One backward dependency sweep, deepest level first, over the packed
 /// distance+coefficient array (already loaded with this source's
@@ -111,7 +61,7 @@ void backward_sweep_impl(vid s, const BfsResult& b, BcWorkspace& ws,
     }
     const std::int64_t deeper = d + 1;
     stealing_for(
-        ws.queue, lo, hi, kBcLevelChunk, kBcLevelSerialBelow, nthreads,
+        ws.queue, lo, hi, kLevelChunk, kLevelSerialBelow, nthreads,
         [&](std::int64_t i0, std::int64_t i1) {
           for (std::int64_t i = i0; i < i1; ++i) {
             const vid v = b.order[static_cast<std::size_t>(i)];
@@ -184,11 +134,12 @@ void fold_leaves(const BcLayout& layout, vid s, const BfsResult& b,
 
 /// Brandes accumulation from one source into `score`.
 ///
-/// Forward: undirected graphs run bc_forward_sweep (fused
-/// direction-optimizing BFS + pull sigma) over the layout when there is
-/// one (its core, when folded) and over the view otherwise. An identity
-/// layout and the view are the same rows in the same order, so they give
-/// the same bits. Directed graphs take the push pass above.
+/// Forward: bc_forward_sweep (fused direction-optimizing BFS + pull sigma).
+/// Undirected graphs run it over the layout when there is one (its core,
+/// when folded) and over the view otherwise; an identity layout and the
+/// view are the same rows in the same order, so they give the same bits.
+/// Directed graphs run it over the view, pulling sigma over `in`, the
+/// graph's reverse.
 ///
 /// Backward: coefficient form. Instead of delta we keep
 /// coef[v] = (1 + delta[v]) / sigma[v], so each vertex does ONE division and
@@ -198,16 +149,14 @@ void fold_leaves(const BcLayout& layout, vid s, const BfsResult& b,
 /// bit-identical results for any thread count. Levels are scheduled
 /// through the work-stealing queue; inside a parallel source sum
 /// stealing_for detects the enclosing parallel region and runs inline.
-void accumulate_source(const GraphView& g, const BcLayout& layout, vid s,
-                       BcWorkspace& ws, std::span<double> score) {
+void accumulate_source(const GraphView& g, const GraphView& in,
+                       const BcLayout& layout, vid s, BcWorkspace& ws,
+                       std::span<double> score) {
   BfsResult& b = ws.bfs_buffer;
-  auto& sigma = ws.sigma;
-  if (g.directed()) {
-    forward_push_directed(g, s, b, sigma);
-  } else if (!layout.offsets.empty()) {
-    bc_forward_sweep(layout, s, b, sigma);
+  if (!g.directed() && !layout.offsets.empty()) {
+    bc_forward_sweep(layout, s, b, ws.sigma);
   } else {
-    bc_forward_sweep(g, s, b, sigma);
+    bc_forward_sweep(g, in, s, b, ws.sigma);
   }
 
   const int nthreads = num_threads();
@@ -251,13 +200,24 @@ BetweennessResult betweenness_centrality(const GraphView& g,
   result.plan = plan_source_sum(n, result.sources_used, num_threads(),
                                 opts.score_memory_budget_bytes, 0);
 
+  // Directed graphs pull sigma over their in-edges: the reverse, built
+  // once per call as pagerank builds its own (a store is decoded first).
+  // An undirected graph's rows are its own in-rows.
+  CsrGraph rev;
+  if (g.directed()) {
+    GCT_SPAN("bc.reverse");
+    CsrGraph decoded;
+    rev = reverse(g.as_csr_or(decoded));
+  }
+  const GraphView in = g.directed() ? GraphView(rev) : g;
+
   // One 32-bit layout for the whole call when ids fit and it fits the
   // score-memory budget (see algs/bc_layout.hpp), with one rule for DRAM
   // graphs and packed stores: folded when the fold fits, the identity
   // layout when only that fits. Undirected graphs read it in both sweeps;
-  // directed graphs (whose push pass adds in level order, which a
-  // renumbering would change) read it in the backward sweep only. Without
-  // a layout both sweeps read the view: over a store, the out-of-core path.
+  // directed graphs read it in the backward sweep only, since it holds
+  // out-rows and their forward pulls read the reverse. Without a layout
+  // both sweeps read the view: over a store, the out-of-core path.
   BcLayout layout;
   const std::uint64_t budget = opts.score_memory_budget_bytes;
   const bool fold = !g.directed() && bc_layout_build_bytes(g, true) <= budget;
@@ -288,8 +248,8 @@ BetweennessResult betweenness_centrality(const GraphView& g,
         result.sources_used, result.plan, {n, g.num_adjacency_entries()},
         score, [&](int worker, std::int64_t i, std::span<double> into) {
           BcWorkspace& ws = workspaces[static_cast<std::size_t>(worker)];
-          accumulate_source(g, layout, sources[static_cast<std::size_t>(i)],
-                            ws, into);
+          accumulate_source(g, in, layout,
+                            sources[static_cast<std::size_t>(i)], ws, into);
           return std::span<const vid>(ws.bfs_buffer.order);
         });
   }

@@ -22,17 +22,16 @@
 ///    sweeps parallel across each level. It runs at one thread, and
 ///    whenever the budget cannot hold two buffers (huge graphs).
 /// A source adds one term per reached vertex and every per-source sum runs
-/// in adjacency order, so both plans make the same adds in the same order:
-/// undirected scores are bit-identical at any thread count and budget.
-/// Directed scores are too while path counts stay below 2^53: the fine
-/// plan at N threads pushes sigma with atomic adds in schedule order, until
-/// directed graphs pull sigma over in-edges as undirected ones do.
+/// in row order, so both plans make the same adds in the same order: scores
+/// are bit-identical at any thread count and budget.
 ///
 /// On undirected graphs, in memory or packed, both sweeps read a per-call
 /// int32 layout that folds the degree-1 vertices out of the search
 /// (algs/bc_layout.hpp): a leaf never lies on a shortest path between two
 /// others, and its state follows from its neighbour's, bit for bit. A
-/// packed store is decoded once per call to build it.
+/// packed store is decoded once per call to build it. Directed graphs do
+/// not fold; they pull sigma over in-edges from their reverse, built once
+/// per call (from one decode of a packed store).
 
 #include <cstdint>
 #include <vector>
@@ -65,6 +64,7 @@ struct BetweennessOptions {
   /// sweeps read the graph itself (over a store, through its block cache).
   /// The coarse team and its slots are sized to fit; below two buffers the
   /// kernel runs fine-grained, whose score memory is the result array alone.
+  /// A directed graph's reverse is held besides, outside the cap.
   std::uint64_t score_memory_budget_bytes = kSourceSumBudgetBytes;
 };
 
@@ -79,11 +79,11 @@ struct BetweennessResult {
 };
 
 /// Compute (approximate) betweenness centrality. Self-loops never lie on
-/// shortest paths and are ignored. Undirected graphs count each unordered
-/// pair twice (GraphCT's raw sums) and run the fused direction-optimizing
-/// forward sweep; directed graphs follow arc direction (the paper's §I-A
-/// "directed model [that] could model directed flow"), count ordered pairs
-/// once, and run a top-down push forward pass.
+/// shortest paths and are ignored. Every graph runs the fused
+/// direction-optimizing forward sweep. Undirected graphs count each
+/// unordered pair twice (GraphCT's raw sums); directed graphs follow arc
+/// direction (the paper's §I-A "directed model [that] could model directed
+/// flow"), count ordered pairs once, and pull sigma over their reverse.
 BetweennessResult betweenness_centrality(const GraphView& g,
                                          const BetweennessOptions& opts = {});
 

@@ -4,15 +4,11 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/work_queue.hpp"
 
 namespace graphct {
 
 namespace {
-
-// Level size below which the slack-indexed sweeps skip the parallel-for:
-// a region fork per (level x slack) pair dwarfs the work on the short
-// levels that dominate high-diameter searches.
-constexpr eid kKbcLevelSerialBelow = 512;
 
 /// Scratch for one source, sized (k+1) x n for the slack-indexed tables.
 struct KbcWorkspace {
@@ -75,7 +71,9 @@ void accumulate_source_kbc(const GraphView& g, vid s, KbcWorkspace& ws,
     for (std::int64_t d = 0; d < num_levels; ++d) {
       const eid lo = b.level_offsets[static_cast<std::size_t>(d)];
       const eid hi = b.level_offsets[static_cast<std::size_t>(d) + 1];
-#pragma omp parallel for schedule(dynamic, 64) if (hi - lo >= kKbcLevelSerialBelow)
+      // A region fork per (level x slack) pair dwarfs the work on the short
+      // levels that dominate high-diameter searches, so those run serially.
+#pragma omp parallel for schedule(dynamic, kLevelChunk) if (hi - lo >= kLevelSerialBelow)
       for (eid i = lo; i < hi; ++i) {
         const vid v = b.order[static_cast<std::size_t>(i)];
         double acc = (j == 0 && v == s) ? 1.0 : 0.0;
@@ -107,7 +105,7 @@ void accumulate_source_kbc(const GraphView& g, vid s, KbcWorkspace& ws,
     for (std::int64_t d = num_levels - 1; d >= 0; --d) {
       const eid lo = b.level_offsets[static_cast<std::size_t>(d)];
       const eid hi = b.level_offsets[static_cast<std::size_t>(d) + 1];
-#pragma omp parallel for schedule(dynamic, 64) if (hi - lo >= kKbcLevelSerialBelow)
+#pragma omp parallel for schedule(dynamic, kLevelChunk) if (hi - lo >= kLevelSerialBelow)
       for (eid i = lo; i < hi; ++i) {
         const vid v = b.order[static_cast<std::size_t>(i)];
         double acc = (m == 0 && v != s)

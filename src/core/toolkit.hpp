@@ -148,9 +148,8 @@ class Toolkit {
 
   /// Betweenness centrality, cached per (sources, seed, rescale) — a
   /// session repeating an earlier query is served the resident result.
-  /// Budget and threads pick only the plan, never a score bit (on a directed
-  /// graph, while path counts stay below 2^53), so they are not in the key;
-  /// `plan` is the computing run's.
+  /// Budget and threads pick only the plan, never a score bit, so they are
+  /// not in the key; `plan` is the computing run's.
   const BetweennessResult& betweenness(const BetweennessOptions& opts = {});
 
   /// k-betweenness centrality (cached per (k, sources, seed), as above).

@@ -18,11 +18,6 @@ namespace graphct::dist {
 
 namespace {
 
-// Local-sweep chunking, matching the single-process level scheduler
-// (kBcLevelChunk / kBcLevelSerialBelow in core/betweenness.cpp).
-constexpr std::int64_t kSweepChunk = 64;
-constexpr std::int64_t kSweepSerialBelow = 512;
-
 /// Owned contiguous slice of a sorted global vertex list: blocks are
 /// contiguous id ranges, so ownership is two binary searches.
 std::span<const std::int64_t> owned_slice(const std::vector<vid>& sorted,
@@ -263,7 +258,7 @@ void WorkerServer::expand_owned_rows(const Slot& s,
                                      std::vector<vid>& candidates) {
   candidates.clear();
   const auto count = static_cast<std::int64_t>(owned.size());
-  if (opts_.threads <= 1 || count < kSweepSerialBelow) {
+  if (opts_.threads <= 1 || count < kLevelSerialBelow) {
     for (const std::int64_t u : owned) {
       GCT_CHECK(u >= s.begin && u < s.end,
                 "dist worker: frontier vertex not owned by this block");
@@ -342,7 +337,7 @@ void WorkerServer::handle_cc_step(WireReader& r, WireWriter& reply) {
   // fixed point in any order — and every locally lowered vertex is
   // proposed to the coordinator.
   std::vector<vid> changed;
-  if (opts_.threads <= 1 || s.end - s.begin < kSweepSerialBelow) {
+  if (opts_.threads <= 1 || s.end - s.begin < kLevelSerialBelow) {
     auto lower = [&](vid v, vid label) {
       auto& cur = labels_[static_cast<std::size_t>(v)];
       if (label < cur) {
@@ -420,7 +415,7 @@ void WorkerServer::handle_pr_step(WireReader& r, WireWriter& reply) {
   // identical inputs. Rows parallelize freely — each sum is per-vertex
   // exclusive and internally sequential, so the result is bit-identical at
   // any thread count (stealing_for runs inline at threads=1).
-  stealing_for(wq_, s.begin, s.end, kSweepChunk, kSweepSerialBelow,
+  stealing_for(wq_, s.begin, s.end, kLevelChunk, kLevelSerialBelow,
                opts_.threads, [&](std::int64_t b, std::int64_t e) {
                  for (vid v = b; v < e; ++v) {
                    double acc = 0.0;
@@ -523,7 +518,7 @@ void WorkerServer::handle_bc_sigma(WireReader& r, WireWriter& reply) {
   bc_out_.resize(slice.size());
   const double* sg = bc_sigma_.data();
   const std::int64_t prev_level = level - 1;
-  stealing_for(wq_, 0, count, kSweepChunk, kSweepSerialBelow, opts_.threads,
+  stealing_for(wq_, 0, count, kLevelChunk, kLevelSerialBelow, opts_.threads,
                [&](std::int64_t b, std::int64_t e) {
                  for (std::int64_t i = b; i < e; ++i) {
                    const auto v =
@@ -573,7 +568,7 @@ void WorkerServer::handle_bc_backward(WireReader& r, WireWriter& reply) {
   const vid source = bc_source_;
   const std::int64_t deeper = d + 1;
   stealing_for(
-      wq_, 0, count, kSweepChunk, kSweepSerialBelow, opts_.threads,
+      wq_, 0, count, kLevelChunk, kLevelSerialBelow, opts_.threads,
       [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) {
           const auto v = static_cast<vid>(slice[static_cast<std::size_t>(i)]);

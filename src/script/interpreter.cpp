@@ -85,6 +85,19 @@ struct Interpreter::Impl {
     stack.push_back({std::make_shared<Toolkit>(std::move(tk)), ""});
   }
 
+  /// Make `slot` the only graph on the stack (read, generate, load, use).
+  /// Callers build it first, so a load that throws keeps the session's
+  /// graph.
+  void switch_to(Slot slot) {
+    stack.clear();
+    ++graph_epoch;
+    stack.push_back(std::move(slot));
+  }
+
+  void switch_to(Toolkit tk) {
+    switch_to(Slot{std::make_shared<Toolkit>(std::move(tk)), ""});
+  }
+
   /// Tear down the worker set and coordinator (mode selection survives).
   void drop_dist_workers() {
     if (dist_ctx.coord) dist_ctx.coord->shutdown();
@@ -290,21 +303,18 @@ void Interpreter::execute(const Command& cmd) {
     const std::string& fmt = cmd.tokens[1];
     const std::string& path = cmd.tokens[2];
     if (fmt == "dimacs") {
-      im.stack.clear();
-      im.push_private(Toolkit::load_dimacs(path, im.opts.toolkit));
+      im.switch_to(Toolkit::load_dimacs(path, im.opts.toolkit));
     } else if (fmt == "binary") {
-      im.stack.clear();
-      im.push_private(Toolkit::load_binary(path, im.opts.toolkit));
+      im.switch_to(Toolkit::load_binary(path, im.opts.toolkit));
     } else if (fmt == "edgelist") {
-      graphct::EdgeList el = graphct::read_edge_list(path);
-      im.stack.clear();
-      im.push_private(Toolkit(graphct::build_csr(el), im.opts.toolkit));
+      im.switch_to(
+          Toolkit(graphct::build_csr(graphct::read_edge_list(path)),
+                  im.opts.toolkit));
     } else if (fmt == "packed") {
       // Open a block-compressed packed file (see `pack`) as a session-
       // private store-backed graph; adjacency stays on disk and decodes
       // per block through the mmap store.
-      im.stack.clear();
-      im.push_private(Toolkit::load_packed(path, im.opts.toolkit));
+      im.switch_to(Toolkit::load_packed(path, im.opts.toolkit));
     } else if (fmt == "tweets") {
       // Build the undirected user-to-user mention graph from a TSV tweet
       // stream — the §III-B ingest, scriptable.
@@ -312,8 +322,7 @@ void Interpreter::execute(const Command& cmd) {
       graphct::twitter::MentionGraphBuilder builder;
       for (const auto& t : tweets) builder.add(t);
       const auto mg = std::move(builder).build();
-      im.stack.clear();
-      im.push_private(Toolkit(mg.undirected(), im.opts.toolkit));
+      im.switch_to(Toolkit(mg.undirected(), im.opts.toolkit));
       out << "mention graph: " << mg.num_users << " users, "
           << mg.unique_interactions << " unique interactions, "
           << mg.tweets_with_responses << " tweets with responses\n";
@@ -335,8 +344,7 @@ void Interpreter::execute(const Command& cmd) {
     if (cmd.tokens.size() > 4) {
       r.seed = static_cast<std::uint64_t>(parse_i64(cmd.tokens[4], cmd));
     }
-    im.stack.clear();
-    im.push_private(Toolkit(graphct::rmat_graph(r), im.opts.toolkit));
+    im.switch_to(Toolkit(graphct::rmat_graph(r), im.opts.toolkit));
     const auto& g = im.stack.back().tk->graph();
     out << "generated rmat scale " << r.scale << ": " << g.num_vertices()
         << " vertices, " << g.num_edges() << " edges\n";
@@ -358,9 +366,7 @@ void Interpreter::execute(const Command& cmd) {
     auto tk = kind == "packed"
                   ? im.opts.provider->load_packed_graph(name, cmd.tokens[3])
                   : im.opts.provider->load_graph(name, cmd.tokens[3]);
-    im.stack.clear();
-    ++im.graph_epoch;
-    im.stack.push_back({tk, name});
+    im.switch_to({tk, name});
     const auto g = tk->view();
     out << "loaded " << (kind == "packed" ? "packed graph '" : "graph '")
         << name << "': " << g.num_vertices() << " vertices, " << g.num_edges()
@@ -381,9 +387,7 @@ void Interpreter::execute(const Command& cmd) {
       throw Error("script line " + std::to_string(cmd.line) +
                   ": no graph named '" + name + "' (see 'load graph')");
     }
-    im.stack.clear();
-    ++im.graph_epoch;
-    im.stack.push_back({tk, name});
+    im.switch_to({tk, name});
     const auto g = tk->view();
     out << "using graph '" << name << "': " << g.num_vertices()
         << " vertices, " << g.num_edges() << " edges\n";

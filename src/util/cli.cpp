@@ -59,6 +59,16 @@ std::int64_t Cli::get(const std::string& name, std::int64_t def) const {
   }
 }
 
+std::int64_t Cli::get_in_range(const std::string& name, std::int64_t def,
+                               std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t v = get(name, def);
+  GCT_CHECK(v >= lo && v <= hi, "flag --" + name + " must be in [" +
+                                    std::to_string(lo) + ", " +
+                                    std::to_string(hi) + "], got " +
+                                    std::to_string(v));
+  return v;
+}
+
 double Cli::get(const std::string& name, double def) const {
   auto s = get(name, std::string());
   if (s.empty()) return def;

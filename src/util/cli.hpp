@@ -31,6 +31,12 @@ class Cli {
                                  std::int64_t def) const;
   [[nodiscard]] double get(const std::string& name, double def) const;
 
+  /// Integer value of --name, or `def` when absent. Throws graphct::Error
+  /// when the value lies outside [lo, hi], so callers may narrow it.
+  [[nodiscard]] std::int64_t get_in_range(const std::string& name,
+                                          std::int64_t def, std::int64_t lo,
+                                          std::int64_t hi) const;
+
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

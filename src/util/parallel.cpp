@@ -42,16 +42,6 @@ std::int64_t fetch_add(std::int64_t& target, std::int64_t delta) {
   return old;
 }
 
-double fetch_add(double& target, double delta) {
-  double old;
-#pragma omp atomic capture
-  {
-    old = target;
-    target += delta;
-  }
-  return old;
-}
-
 bool compare_and_swap(std::int64_t& target, std::int64_t expected,
                       std::int64_t desired) {
   return __atomic_compare_exchange_n(&target, &expected, desired,

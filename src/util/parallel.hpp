@@ -40,9 +40,6 @@ void set_num_threads(std::int64_t n);
 /// This is the paper's sole synchronization primitive (§II-B).
 std::int64_t fetch_add(std::int64_t& target, std::int64_t delta);
 
-/// Atomic fetch-and-add on a double (used by centrality accumulation).
-double fetch_add(double& target, double delta);
-
 /// Atomic compare-and-swap: if target == expected, store desired and return
 /// true. Used by label-absorption in connected components.
 bool compare_and_swap(std::int64_t& target, std::int64_t expected,

@@ -86,6 +86,13 @@ class WorkQueue {
   std::atomic<std::int64_t> steals_{0};
 };
 
+/// Level scheduling shared by every level-synchronous sweep (the BC forward
+/// and backward sweeps, k-betweenness, the dist worker): vertices per work
+/// chunk, and the level size below which a level runs serially inside the
+/// calling thread. Chunking never enters a sum, so no score depends on it.
+inline constexpr std::int64_t kLevelChunk = 64;
+inline constexpr std::int64_t kLevelSerialBelow = 512;
+
 /// Work-stealing parallel for: run `body(b, e)` over disjoint subranges
 /// covering [begin, end). Spawns its own parallel region of `nthreads`
 /// threads; runs `body(begin, end)` inline instead when nthreads <= 1, when

@@ -181,10 +181,10 @@ TEST(BcPlanTest, DefaultPlanRunsTwoSlotsPerThread) {
   EXPECT_DOUBLE_EQ(r.score[0], 15.0 * 14.0);  // the hub carries every pair
 }
 
-TEST(BcPlanTest, DirectedRunsThePushForwardPass) {
-  // Directed input takes forward_push_directed under either plan (the fused
-  // sweep throws on directed graphs): the fine plan at one thread repeats
-  // bit for bit, and the coarse team gives the same bits.
+TEST(BcPlanTest, DirectedRunsTheFusedSweepUnderEitherPlan) {
+  // Directed input runs the fused sweep under either plan, pulling sigma
+  // over the graph's reverse: the fine plan at one thread repeats bit for
+  // bit, and the coarse team gives the same bits.
   RmatOptions ro;
   ro.scale = 11;
   ro.edge_factor = 8;
@@ -228,10 +228,12 @@ std::uint64_t score_fingerprint(const std::vector<double>& score) {
 
 TEST(BetweennessTest, OneThreadScoresMatchRecordedBuilds) {
   // Every other bitwise test compares two runs of the same build, so a
-  // score bit that moved in every run would pass them all. These constants
-  // were recorded at one thread from the build before the leaf-folding
-  // layout, whose mention-graph inputs are 51% (atlflood) and 57% (h1n1)
-  // leaves. Every thread count and budget must give them:
+  // score bit that moved in every run would pass them all. The first three
+  // constants were recorded at one thread from the build before the
+  // leaf-folding layout, whose mention-graph inputs are 51% (atlflood) and
+  // 57% (h1n1) leaves; the directed R-MAT's from the last build with the
+  // push forward pass, before directed graphs pulled sigma over their
+  // reverse. Every thread count and budget must give them:
   //  * the default budget runs the folded layout, under a parallel plan of
   //    team t at t >= 2 threads. Its workers run the sweeps inside a
   //    parallel region, where nested utilities (level compaction's prefix
@@ -242,10 +244,16 @@ TEST(BetweennessTest, OneThreadScoresMatchRecordedBuilds) {
   //  * one byte less: no layout, both sweeps read the graph itself;
   //  * below two score buffers: the serial plan, whose level sweeps run
   //    parallel at t threads, with no buffer.
+  // A directed graph never folds, so its default budget runs the identity
+  // layout in the backward sweep.
   RmatOptions ro;
   ro.scale = 11;
   ro.edge_factor = 8;
   ro.seed = 3;
+  RmatOptions directed_ro = ro;
+  directed_ro.seed = 4;
+  BuildOptions arcs;
+  arcs.symmetrize = false;
   struct Case {
     const char* name;
     CsrGraph graph;
@@ -255,6 +263,8 @@ TEST(BetweennessTest, OneThreadScoresMatchRecordedBuilds) {
       {"atlflood", mention_lwcc("atlflood"), 0xdbb199ccaf8f07e1ULL},
       {"h1n1", mention_lwcc("h1n1"), 0xe70062c74216f606ULL},
       {"rmat11", rmat_graph(ro), 0xdf136485ab24adc1ULL},
+      {"rmat11_directed", build_csr(rmat_edges(directed_ro), arcs),
+       0x45e753dd428317cbULL},
   };
   for (const Case& c : cases) {
     const std::uint64_t identity = bc_layout_build_bytes(c.graph, false);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/random_graphs.hpp"
 #include "gen/shapes.hpp"
 #include "test_support.hpp"
@@ -199,14 +201,50 @@ TEST(BfsTest, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(BcForwardSweepTest, DirectedInputThrows) {
-  // The sigma pulls read a vertex's neighbor list as its in-edges; on a
-  // directed CSR those are its out-arcs, which would give wrong path counts
-  // (here sigma(1) would sum sigma(2), a successor).
-  const auto g = testing::make_directed(3, {{0, 1}, {1, 2}});
+TEST(BcForwardSweepTest, DirectedSweepPullsOverTheReverse) {
+  // A chain of k diamonds a_i -> {b_i, c_i} -> a_{i+1}, each a_{i+1} also
+  // pointing back at b_i, and z -> a_3 from a vertex the source never
+  // reaches. From a_0: d(a_i) = 2i and sigma(a_i) = 2^i; d(b_i) = d(c_i) =
+  // 2i + 1 and sigma(b_i) = sigma(c_i) = 2^i. Out-rows read as in-rows
+  // would give sigma(a_{i+1}) = sigma(b_i) alone, over the back arc. The
+  // chain is long enough that the sweep switches direction both ways.
+  constexpr vid k = 15;
+  const auto a = [](vid i) { return 3 * i; };
+  const vid z = 3 * k + 1;
+  EdgeList arcs(z + 1);
+  arcs.add(z, a(3));
+  for (vid i = 0; i < k; ++i) {
+    arcs.add(a(i), a(i) + 1);
+    arcs.add(a(i), a(i) + 2);
+    arcs.add(a(i) + 1, a(i + 1));
+    arcs.add(a(i) + 2, a(i + 1));
+    arcs.add(a(i + 1), a(i) + 1);
+  }
+  BuildOptions bo;
+  bo.symmetrize = false;
+  const CsrGraph g = build_csr(arcs, bo);
+  const CsrGraph in = reverse(g);
   BfsResult r;
-  std::vector<double> sigma(3, 0.0);
-  EXPECT_THROW(bc_forward_sweep(g, 0, r, sigma), Error);
+  std::vector<double> sigma(static_cast<std::size_t>(z + 1), -1.0);
+  bc_forward_sweep(g, in, a(0), r, sigma);
+  EXPECT_EQ(r.num_reached(), z);
+  EXPECT_EQ(r.distance[static_cast<std::size_t>(z)], kNoVertex);
+  for (vid i = 0; i <= k; ++i) {
+    const double paths = std::ldexp(1.0, static_cast<int>(i));
+    EXPECT_EQ(r.distance[static_cast<std::size_t>(a(i))], 2 * i) << i;
+    EXPECT_EQ(sigma[static_cast<std::size_t>(a(i))], paths) << i;
+    if (i == k) break;
+    for (const vid v : {a(i) + 1, a(i) + 2}) {
+      EXPECT_EQ(r.distance[static_cast<std::size_t>(v)], 2 * i + 1) << v;
+      EXPECT_EQ(sigma[static_cast<std::size_t>(v)], paths) << v;
+    }
+  }
+
+  // `in` must match the graph's vertex count, entry count and direction.
+  const auto small = testing::make_directed(3, {{0, 1}, {1, 2}});
+  EXPECT_THROW(bc_forward_sweep(g, small, 0, r, sigma), Error);
+  EXPECT_THROW(bc_forward_sweep(g, to_undirected(g), 0, r, sigma), Error);
+  EXPECT_THROW(bc_forward_sweep(small, g, 0, r, sigma), Error);
 }
 
 /// 0 is a hub with leaves 2, 3, 4 and a path 0-1-5 to a second hub 5 with
@@ -270,7 +308,7 @@ TEST(BcForwardSweepTest, LayoutSweepDiscoversTheCoreOnly) {
   for (const vid s : {vid{0}, vid{3}, vid{7}}) {
     BfsResult rv, rl;
     std::vector<double> sv(static_cast<std::size_t>(n), 0.0), sl = sv;
-    bc_forward_sweep(GraphView(g), s, rv, sv);
+    bc_forward_sweep(g, g, s, rv, sv);
     const vid ls = l.label[static_cast<std::size_t>(s)];
     bc_forward_sweep(l, ls, rl, sl);
     for (vid v = 0; v < n; ++v) {

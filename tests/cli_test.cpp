@@ -50,6 +50,21 @@ TEST(CliTest, BadIntegerThrows) {
   EXPECT_THROW((void)cli.get("scale", std::int64_t{0}), Error);
 }
 
+TEST(CliTest, RangeCheckedIntegerRejectsValuesOutsideTheBounds) {
+  // 2^32 + 1 narrows to 1 as an int, so the check must come first.
+  for (const char* bad : {"4294967297", "-1"}) {
+    auto cli = make({"--threads", bad}, {{"threads", "t"}});
+    EXPECT_THROW((void)cli.get_in_range("threads", 0, 0, 256), Error) << bad;
+  }
+}
+
+TEST(CliTest, RangeCheckedIntegerReturnsInRangeValuesAndTheDefault) {
+  auto given = make({"--threads", "4"}, {{"threads", "t"}});
+  EXPECT_EQ(given.get_in_range("threads", 0, 0, 256), 4);
+  auto absent = make({}, {{"threads", "t"}});
+  EXPECT_EQ(absent.get_in_range("threads", 1, 1, 256), 1);
+}
+
 TEST(CliTest, QueryingUndeclaredFlagThrows) {
   auto cli = make({}, {{"scale", "s"}});
   EXPECT_THROW((void)cli.has("other"), Error);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <deque>
 
 #include "core/betweenness.hpp"
@@ -125,10 +127,9 @@ TEST(DirectedBcTest, FineAndCoarsePlansAgree) {
   const auto rf = betweenness_centrality(g, fine);
   const auto rs = betweenness_centrality(g, small);
   set_num_threads(0);
-  // Every plan adds the same per-source terms in source order. The fine
-  // plan at 4 threads pushes sigma with atomic adds in schedule order;
-  // that stays exact only because path counts are integers below 2^53,
-  // until directed graphs pull sigma over in-edges as undirected ones do.
+  // Every plan adds the same per-source terms in source order, and each
+  // term's sums (sigma pulled over the reverse, coefficients over out-rows)
+  // run in row order, so the plans agree bit for bit.
   ASSERT_EQ(rs.score.size(), rc.score.size());
   for (std::size_t v = 0; v < rc.score.size(); ++v) {
     EXPECT_EQ(rs.score[v], rc.score[v]) << "vertex " << v;
@@ -138,6 +139,61 @@ TEST(DirectedBcTest, FineAndCoarsePlansAgree) {
   EXPECT_EQ(rf.plan.team, 1);
   EXPECT_EQ(rs.plan.team, 3);
   EXPECT_LE(rs.plan.buffer_bytes, small.score_memory_budget_bytes);
+}
+
+TEST(DirectedBcTest, SerialPlanGivesTheSameBitsAtEveryThreadCount) {
+  // 40 layers of 600 vertices, each with 6 random arcs into the next layer:
+  // levels are wider than the 512-vertex serial cutoff, so the serial plan
+  // sweeps them in parallel at 2+ threads, and path counts from the early
+  // layers pass 2^53, where a double sum depends on its order. Sigma is
+  // pulled over each vertex's in-row in row order, so the order is fixed.
+  constexpr vid kLayers = 40;
+  constexpr vid kWidth = 600;
+  const vid n = kLayers * kWidth;
+  Rng rng(5);
+  EdgeList el(n);
+  for (vid layer = 0; layer + 1 < kLayers; ++layer) {
+    for (vid i = 0; i < kWidth; ++i) {
+      for (int a = 0; a < 6; ++a) {
+        el.add(layer * kWidth + i,
+               (layer + 1) * kWidth +
+                   static_cast<vid>(rng.next_below(kWidth)));
+      }
+    }
+  }
+  BuildOptions b;
+  b.symmetrize = false;
+  b.dedup = false;
+  const auto g = build_csr(el, b);
+
+  // The input must reach the regime it is built for: path counts from
+  // vertex 0, pushed layer by layer (ids ascend with the layer).
+  std::vector<double> paths(static_cast<std::size_t>(n), 0.0);
+  paths[0] = 1.0;
+  for (vid u = 0; u < n; ++u) {
+    for (const vid v : g.neighbors(u)) {
+      paths[static_cast<std::size_t>(v)] += paths[static_cast<std::size_t>(u)];
+    }
+  }
+  ASSERT_GT(*std::max_element(paths.begin(), paths.end()), 0x1p53);
+
+  BetweennessOptions o;
+  o.num_sources = 64;
+  o.score_memory_budget_bytes =
+      2 * static_cast<std::uint64_t>(n) * sizeof(double) - 1;
+  set_num_threads(1);
+  const auto base = betweenness_centrality(g, o);
+  for (const int threads : {2, 4}) {
+    set_num_threads(threads);
+    const auto r = betweenness_centrality(g, o);
+    set_num_threads(0);
+    EXPECT_EQ(r.plan.team, 1) << "threads=" << threads;
+    for (std::size_t v = 0; v < base.score.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(r.score[v]),
+                std::bit_cast<std::uint64_t>(base.score[v]))
+          << "threads=" << threads << " vertex " << v;
+    }
+  }
 }
 
 class DirectedBcPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -39,6 +39,24 @@ TEST(InterpreterTest, GenerateAndPrintGraph) {
   EXPECT_NE(out.str().find("undirected"), std::string::npos);
 }
 
+// A read or generate that throws leaves the session on the graph it had:
+// the new graph is built before the stack is cleared.
+TEST(InterpreterTest, FailedReadOrGenerateKeepsTheCurrentGraph) {
+  std::ostringstream out;
+  Interpreter in(out, fast_opts());
+  in.run("generate rmat 4 4\n");
+  for (const std::string& bad :
+       {"read binary " + temp_path("gct_interp_missing.bin"),
+        std::string("generate rmat 2 4611686018427387904")}) {
+    EXPECT_THROW(in.run(bad + "\n"), graphct::Error) << bad;
+    EXPECT_EQ(in.stack_depth(), 1u) << bad;
+    out.str("");
+    in.run("print graph\n");
+    EXPECT_NE(out.str().find("16 vertices"), std::string::npos)
+        << bad << ": " << out.str();
+  }
+}
+
 TEST(InterpreterTest, ReadDimacs) {
   const std::string path = temp_path("gct_interp.dimacs");
   graphct::write_dimacs(graphct::path_graph(8), path);

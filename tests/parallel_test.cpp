@@ -25,12 +25,6 @@ TEST(FetchAddTest, ReturnsPreviousValueAndAccumulates) {
   EXPECT_EQ(x, 12);
 }
 
-TEST(FetchAddTest, DoubleVariant) {
-  double x = 1.5;
-  EXPECT_DOUBLE_EQ(fetch_add(x, 2.25), 1.5);
-  EXPECT_DOUBLE_EQ(x, 3.75);
-}
-
 TEST(FetchAddTest, ConcurrentCountingIsExact) {
   std::int64_t counter = 0;
 #pragma omp parallel for

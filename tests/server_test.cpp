@@ -655,6 +655,30 @@ TEST(ServerTest, ErrorsAreReportedNotFatal) {
   EXPECT_NE(t.find("generated rmat scale 5"), std::string::npos);
 }
 
+// An error reply carries the message alone, never the source file and
+// line of the check that raised it.
+TEST(ServerTest, ErrorRepliesNameNoSourceFile) {
+  Server srv(fast_server_opts());
+  std::istringstream in("generate rmat 4 4\n"
+                        "read binary " +
+                        temp_path("gct_server_missing.bin") +
+                        "\n"
+                        "threads 257\n"
+                        "kcentrality 9223372036854775807 1\n"
+                        "quit\n");
+  std::ostringstream out;
+  srv.serve_stream(in, out);
+  std::vector<std::string> errors;
+  for (const auto& line : lines_of(out.str())) {
+    if (line.rfind("error ", 0) == 0) errors.push_back(line);
+  }
+  ASSERT_EQ(errors.size(), 3u) << out.str();
+  for (const auto& e : errors) {
+    EXPECT_EQ(e.find(".cpp:"), std::string::npos) << e;
+    EXPECT_EQ(e.find("src/"), std::string::npos) << e;
+  }
+}
+
 TEST(ServerTest, ServerVerbsListGraphsAndJobs) {
   Server srv(fast_server_opts());
   srv.registry().add("resident", path_graph(9));

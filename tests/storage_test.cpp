@@ -591,6 +591,35 @@ TEST_F(StoreKernelParityTest, BetweennessIdenticalSingleThread) {
   streamed.score_memory_budget_bytes = streamed_budget(leafy);
   const auto leafy_streamed =
       betweenness_centrality(GraphView(leafy_store), streamed);
+
+  // A directed store is decoded once per call to build the reverse that
+  // sigma is pulled over; discovery and the backward sweep read the store
+  // through its block cache, or the identity layout when the budget holds
+  // one. Both codecs, at the default budget and below the identity layout.
+  RmatOptions ro;
+  ro.scale = 11;
+  ro.edge_factor = 8;
+  ro.seed = 4;
+  BuildOptions arcs;
+  arcs.symmetrize = false;
+  const CsrGraph digraph = build_csr(rmat_edges(ro), arcs);
+  opts.num_sources = 64;
+  streamed.score_memory_budget_bytes = streamed_budget(digraph);
+  const auto directed_mem = betweenness_centrality(digraph, opts);
+  for (const Codec codec : {Codec::kVarint, Codec::kNone}) {
+    TempFile f("gct_storage_parity_directed.gctp");
+    PackOptions dopts;
+    dopts.codec = codec;
+    dopts.block_target_bytes = 2048;
+    storage::pack_graph(digraph, f.path, dopts);
+    const GraphStore store(f.path, sopts);
+    EXPECT_TRUE(GraphView(store).directed());
+    EXPECT_EQ(directed_mem.score, betweenness_centrality(store, opts).score)
+        << "codec " << static_cast<int>(codec);
+    EXPECT_EQ(directed_mem.score,
+              betweenness_centrality(store, streamed).score)
+        << "codec " << static_cast<int>(codec);
+  }
   set_num_threads(0);
   EXPECT_EQ(mem.score, packed.score);
   EXPECT_EQ(mem.score, packed_streamed.score);

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -139,15 +140,19 @@ int usage() {
 
 int cmd_serve(const Cli& cli) {
   server::ServerOptions opts;
-  opts.workers = static_cast<int>(cli.get("workers", std::int64_t{4}));
+  opts.workers = static_cast<int>(
+      cli.get_in_range("workers", 4, 1, graphct::kMaxThreads));
   opts.interpreter.timings = cli.has("timings");
   server::ServerLimits& lim = opts.limits;
-  lim.max_connections = static_cast<int>(
-      cli.get("max-conns", std::int64_t{lim.max_connections}));
-  lim.max_queued_jobs = static_cast<int>(
-      cli.get("max-queued", std::int64_t{lim.max_queued_jobs}));
-  lim.max_queued_per_session = static_cast<int>(cli.get(
-      "max-queued-per-session", std::int64_t{lim.max_queued_per_session}));
+  // 0 means unlimited, so a value past int must not wrap to it.
+  const auto limit = [&cli](const char* flag, int def) {
+    return static_cast<int>(cli.get_in_range(
+        flag, def, 0, std::numeric_limits<std::int32_t>::max()));
+  };
+  lim.max_connections = limit("max-conns", lim.max_connections);
+  lim.max_queued_jobs = limit("max-queued", lim.max_queued_jobs);
+  lim.max_queued_per_session =
+      limit("max-queued-per-session", lim.max_queued_per_session);
   lim.cache_budget_bytes =
       static_cast<std::uint64_t>(cli.get("cache-budget-mb", std::int64_t{0}))
       << 20;
@@ -364,13 +369,17 @@ int cmd_characterize(const std::string& path) {
   return 0;
 }
 
-std::unique_ptr<dist::LocalWorkerSet> fork_workers(int workers,
-                                                   const char* cmd);
+/// The dist commands' --workers: forked worker processes, 0 = none.
+int dist_workers(const Cli& cli) {
+  return static_cast<int>(cli.get_in_range("workers", 0, 0, 256));
+}
+
+std::unique_ptr<dist::LocalWorkerSet> fork_workers(int workers);
 
 int cmd_bc(const Cli& cli) {
   GCT_CHECK(!cli.positional().empty(), "bc: missing graph file");
-  const int workers = static_cast<int>(cli.get("workers", std::int64_t{0}));
-  auto set = fork_workers(workers, "bc");  // before OpenMP spins up
+  const int workers = dist_workers(cli);
+  auto set = fork_workers(workers);  // before OpenMP spins up
   Toolkit tk = load_toolkit(cli.positional()[0]);
   const auto k = cli.get("k", std::int64_t{0});
   GCT_CHECK(k == 0 || workers == 0,
@@ -427,10 +436,7 @@ int cmd_bc(const Cli& cli) {
 /// run before anything spins up OpenMP teams — fork() carries only the
 /// calling thread into the child (see dist/local_worker_set.hpp) — so the
 /// dist commands call this before loading the graph.
-std::unique_ptr<dist::LocalWorkerSet> fork_workers(int workers,
-                                                   const char* cmd) {
-  GCT_CHECK(workers >= 0 && workers <= 256,
-            std::string(cmd) + ": --workers must be in [0, 256]");
+std::unique_ptr<dist::LocalWorkerSet> fork_workers(int workers) {
   if (workers == 0) return nullptr;
   dist::LocalWorkerSetOptions opts;
   opts.num_workers = workers;
@@ -440,8 +446,8 @@ std::unique_ptr<dist::LocalWorkerSet> fork_workers(int workers,
 
 int cmd_components(const Cli& cli) {
   GCT_CHECK(!cli.positional().empty(), "components: missing graph file");
-  const int workers = static_cast<int>(cli.get("workers", std::int64_t{0}));
-  auto set = fork_workers(workers, "components");
+  const int workers = dist_workers(cli);
+  auto set = fork_workers(workers);
   Toolkit tk = load_toolkit(cli.positional()[0]);
   if (set) {
     dist::Coordinator coord;
@@ -466,8 +472,8 @@ int cmd_components(const Cli& cli) {
 
 int cmd_pagerank(const Cli& cli) {
   GCT_CHECK(!cli.positional().empty(), "pagerank: missing graph file");
-  const int workers = static_cast<int>(cli.get("workers", std::int64_t{0}));
-  auto set = fork_workers(workers, "pagerank");
+  const int workers = dist_workers(cli);
+  auto set = fork_workers(workers);
   Toolkit tk = load_toolkit(cli.positional()[0]);
   dist::Coordinator coord;
   const PageRankResult* res;
@@ -523,13 +529,9 @@ int cmd_partition(const Cli& cli) {
 
 int cmd_worker(const Cli& cli) {
   dist::WorkerOptions opts;
-  opts.port = static_cast<int>(cli.get("port", std::int64_t{0}));
-  GCT_CHECK(opts.port >= 0 && opts.port <= 65535,
-            "worker: --port must be in [0, 65535]");
-  const std::int64_t threads = cli.get("threads", std::int64_t{1});
-  GCT_CHECK(threads >= 1 && threads <= graphct::kMaxThreads,
-            "worker: --threads must be in [1, 256]");
-  opts.threads = static_cast<int>(threads);
+  opts.port = static_cast<int>(cli.get_in_range("port", 0, 0, 65535));
+  opts.threads = static_cast<int>(
+      cli.get_in_range("threads", 1, 1, graphct::kMaxThreads));
   opts.fail_after = cli.get("fail-after", std::int64_t{-1});
   dist::WorkerServer server(opts);
   std::cout << "graphct worker listening on 127.0.0.1:" << server.port()
@@ -594,7 +596,7 @@ int main(int argc, char** argv) {
              {"drain-timeout", "server: stop-time drain window (s)"}});
     if (cli.has("threads")) {
       graphct::set_num_threads(
-          static_cast<int>(cli.get("threads", std::int64_t{0})));
+          cli.get_in_range("threads", 0, 0, graphct::kMaxThreads));
     }
     if (cli.has("profile")) graphct::obs::set_profiling_enabled(true);
 
