@@ -188,6 +188,23 @@ void write_per_vertex(const std::string& path, const std::vector<T>& values) {
   GCT_CHECK(f.good(), "write failed: " + path);
 }
 
+/// True for the verbs whose screen output reads only ResultCache-keyed
+/// results of the current graph and formats them in O(n) at most. Every
+/// value such a verb reads without `=>` must come through the cache: the
+/// HitsOnly scope around run_cached_read is what keeps kernels off the
+/// server's event loop.
+bool is_cached_read(const Command& cmd) {
+  const std::string& verb = cmd.tokens[0];
+  if (verb == "print") {
+    if (cmd.tokens.size() < 2) return false;
+    const std::string& what = cmd.tokens[1];
+    return what == "degrees" || what == "components" || what == "kcores" ||
+           what == "clustering";
+  }
+  return verb == "bc" || verb == "kcentrality" || verb == "pagerank" ||
+         verb == "closeness" || verb == "communities";
+}
+
 /// A score verb's report: every vertex's score to the redirect file, or
 /// else the ten most central vertices on screen.
 void report_scores(std::ostream& out, const Command& cmd,
@@ -281,6 +298,16 @@ void Interpreter::run(std::string_view script_text) {
     ++i;
   }
   GCT_CHECK(loops.empty(), "script: 'repeat' without matching 'end'");
+}
+
+bool Interpreter::run_cached_read(std::string_view line) {
+  if (impl_->stack.empty() || impl_->dist_ctx.requested > 0) return false;
+  const std::vector<Command> cmds = parse_script(line);
+  if (cmds.size() != 1 || cmds[0].has_redirect() || !is_cached_read(cmds[0])) {
+    return false;
+  }
+  execute(cmds[0]);
+  return true;
 }
 
 void Interpreter::run_file(const std::string& path) {

@@ -93,6 +93,15 @@ class Interpreter {
   /// Parse and run a whole script.
   void run(std::string_view script_text);
 
+  /// Run `line` only if it is a read the current graph's ResultCache may
+  /// answer: one command, no `=>` redirect, `workers` routing off, a graph
+  /// loaded, and a cache-keyed verb (`print degrees|components|kcores|
+  /// clustering`, `bc`, `kcentrality`, `pagerank`, `closeness`,
+  /// `communities`). Returns false, having run nothing, otherwise. The
+  /// server calls it inside a ResultCache::HitsOnly scope, so a value not
+  /// yet cached throws NotCached instead of computing.
+  bool run_cached_read(std::string_view line);
+
   /// Run a script file from disk.
   void run_file(const std::string& path);
 

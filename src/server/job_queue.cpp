@@ -55,6 +55,21 @@ void note_queue_depth(std::size_t pending) {
   g.set(static_cast<double>(pending));
 }
 
+/// Count one job that ran to the end in the queue-wait and run-time
+/// histograms and the finished-runs counter.
+void note_run(double wait_seconds, double run_seconds, bool failed) {
+  static obs::Histogram& wait =
+      obs::registry().histogram("gct_job_queue_wait_seconds");
+  static obs::Histogram& run = obs::registry().histogram("gct_job_run_seconds");
+  static obs::Counter& done =
+      obs::registry().counter("gct_job_runs_total{state=\"done\"}");
+  static obs::Counter& fail =
+      obs::registry().counter("gct_job_runs_total{state=\"failed\"}");
+  wait.observe(wait_seconds);
+  run.observe(run_seconds);
+  (failed ? fail : done).add();
+}
+
 }  // namespace
 
 JobQueue::JobQueue(int num_workers, QueueLimits limits) : limits_(limits) {
@@ -192,13 +207,7 @@ void JobQueue::worker_loop() {
     }
     job->work = nullptr;  // the record outlives whatever the work captured
     const double run_seconds = run_timer.seconds();
-    obs::registry().histogram("gct_job_queue_wait_seconds")
-        .observe(job->record.wait_seconds);
-    obs::registry().histogram("gct_job_run_seconds").observe(run_seconds);
-    obs::registry()
-        .counter(failed ? "gct_job_runs_total{state=\"failed\"}"
-                        : "gct_job_runs_total{state=\"done\"}")
-        .add();
+    note_run(job->record.wait_seconds, run_seconds, failed);
     // Always restore this worker's default — the work itself may have
     // called set_num_threads (the script's `threads N`), and a worker must
     // not carry one session's pinning into another session's job.
@@ -231,6 +240,24 @@ void JobQueue::worker_loop() {
       lock.lock();
     }
   }
+}
+
+std::uint64_t JobQueue::record_finished(JobRecord record) {
+  const double wait_seconds = record.wait_seconds;
+  const double run_seconds = record.run_seconds;
+  std::uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return 0;
+    id = next_id_++;
+    auto job = std::make_shared<Internal>();
+    job->record = std::move(record);
+    job->record.id = id;
+    jobs_.emplace(id, std::move(job));
+    retire_locked(id);
+  }
+  note_run(wait_seconds, run_seconds, false);
+  return id;
 }
 
 JobRecord JobQueue::wait(std::uint64_t id) {

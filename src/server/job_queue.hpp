@@ -4,11 +4,14 @@
 /// Worker pool executing analyst commands: serialized per graph, fair per
 /// session, bounded per server.
 ///
-/// graphctd's concurrency model: every protocol command becomes a job.
-/// Jobs against the *same* graph run one at a time — kernels share the
-/// graph's ResultCache, so running them back-to-back maximizes hits and
-/// bounds peak memory — while jobs against *different* graphs run
-/// concurrently on the worker pool.
+/// graphctd's concurrency model: every protocol command that may compute
+/// becomes a job. Jobs against the *same* graph run one at a time —
+/// kernels share the graph's ResultCache, so running them back-to-back
+/// maximizes hits and bounds peak memory — while jobs against *different*
+/// graphs run concurrently on the worker pool. A read the cache answers
+/// computes nothing and allocates no kernel memory, so it needs neither:
+/// the session runs it on its dispatching thread, beside any job on the
+/// same graph, and files its record here with record_finished().
 ///
 /// Scheduling is round-robin across sessions rather than FIFO arrival
 /// order: a session that bursts fifty commands cannot starve everyone
@@ -24,7 +27,8 @@
 /// Each job records queue wait, run wall-clock, the OpenMP thread count it
 /// ran with, and the cache hit/miss delta it caused; the protocol's
 /// terminating "ok" line reports these so an analyst can see a repeated
-/// query being served from cache.
+/// query being served from cache (queue wait 0 and one thread when the
+/// session answered it from the cache itself).
 
 #include <condition_variable>
 #include <cstddef>
@@ -137,6 +141,13 @@ class JobQueue {
   SubmitResult try_submit(std::string session, std::string graph_key,
                           std::string command, Work work, int threads = 0,
                           OnTerminal on_terminal = {});
+
+  /// Record a command the caller already ran to completion outside the
+  /// pool (the session's cache-answered reads): assigns the next job id,
+  /// keeps the record in the finished history like any job, and counts it
+  /// in the queue-wait, run-time and finished-run metrics. Returns the id,
+  /// or 0 once shutdown has begun (nothing is recorded).
+  std::uint64_t record_finished(JobRecord record);
 
   /// Block until the job reaches a terminal state; returns its record. An
   /// id never issued, or dropped from the history, returns a failed record

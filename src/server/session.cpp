@@ -1,5 +1,7 @@
 #include "server/session.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <future>
 #include <utility>
 
@@ -39,6 +41,27 @@ std::string split_request_id(const std::string& line, std::string& rest) {
   const std::size_t r = line.find_first_not_of(" \t", e);
   rest = r == std::string::npos ? "" : line.substr(r);
   return id;
+}
+
+/// A duration as one protocol token: format_duration without the space
+/// before its unit ("243.0us", "1.2ms").
+std::string duration_token(double seconds) {
+  std::string t = format_duration(seconds);
+  t.erase(std::remove(t.begin(), t.end(), ' '), t.end());
+  return t;
+}
+
+/// The ok terminator's accounting for a finished job, every field one
+/// `key=value` token.
+std::string accounting(const JobRecord& record) {
+  std::ostringstream acct;
+  acct << " job=" << record.id << " graph=" << record.graph_key
+       << " wall=" << duration_token(record.run_seconds)
+       << " queue=" << duration_token(record.wait_seconds)
+       << " threads=" << record.threads
+       << " cache=" << record.counters.cache_hits << "/"
+       << record.counters.cache_misses;
+  return acct.str();
 }
 
 }  // namespace
@@ -161,7 +184,15 @@ void Session::dispatch(const std::string& line, Done done) {
     if (verb == "cancel") {
       const std::size_t at = command.find(verb);
       const std::string arg = first_token(command.substr(at + verb.size()));
-      const std::uint64_t id = std::stoull(arg);
+      std::uint64_t id = 0;
+      const auto [end, ec] =
+          std::from_chars(arg.data(), arg.data() + arg.size(), id);
+      if (arg.empty() || ec != std::errc() || end != arg.data() + arg.size()) {
+        reply.status = Reply::Status::kError;
+        reply.message = "cancel: expected a job id, got '" + arg + "'";
+        done(format_reply(reply, request_id, protocol));
+        return;
+      }
       if (queue_.cancel(id)) {
         reply.payload = "job " + arg + " cancelled\n";
         done(format_reply(reply, request_id, protocol));
@@ -172,6 +203,7 @@ void Session::dispatch(const std::string& line, Done done) {
       }
       return;
     }
+    if (answer_from_cache(command, request_id, protocol, done)) return;
     run_command(command, request_id, protocol, done);
   } catch (const std::exception& e) {
     Reply reply;
@@ -181,16 +213,51 @@ void Session::dispatch(const std::string& line, Done done) {
   }
 }
 
+std::string Session::graph_key() const {
+  // The registry graph when one is current; otherwise the session itself,
+  // so a session's private-graph jobs never interleave.
+  std::string key = interp_.current_graph_key();
+  return key.empty() ? "session:" + name_ : key;
+}
+
+bool Session::answer_from_cache(const std::string& line,
+                                const std::string& request_id,
+                                Protocol protocol, const Done& done) {
+  // Safe beside a job on the same graph, and in session order: see the
+  // file comment in session.hpp.
+  out_.str("");
+  out_.clear();
+  JobRecord record;
+  Timer timer;
+  try {
+    ResultCache::HitsOnly scope;
+    if (!interp_.run_cached_read(line)) return false;
+    record.counters.cache_hits = scope.hits();
+  } catch (const std::exception&) {
+    // NotCached, or an error the queued run reports in its own words.
+    return false;
+  }
+  record.run_seconds = timer.seconds();
+  record.session = name_;
+  record.graph_key = graph_key();
+  record.command = line;
+  record.state = JobState::kDone;
+  record.output = out_.str();
+  record.threads = 1;  // no OpenMP region ran
+  record.id = queue_.record_finished(record);
+  if (record.id == 0) return false;  // shutting down: the queue sheds it
+  Reply reply;
+  reply.payload = std::move(record.output);
+  reply.accounting = accounting(record);
+  done(format_reply(reply, request_id, protocol));
+  return true;
+}
+
 void Session::run_command(const std::string& line,
                           const std::string& request_id, Protocol protocol,
                           const Done& done) {
-  // Serialize on the registry graph when one is current; otherwise on the
-  // session itself, so a session's private-graph jobs never interleave.
-  std::string key = interp_.current_graph_key();
-  if (key.empty()) key = "session:" + name_;
-
   const auto result = queue_.try_submit(
-      name_, key, line,
+      name_, graph_key(), line,
       [this, line](JobCounters& counters) -> std::string {
         out_.str("");
         out_.clear();
@@ -221,15 +288,8 @@ void Session::run_command(const std::string& line,
           reply.message = "job " + std::to_string(record.id) +
                           " cancelled: " + record.error;
         } else {
-          std::ostringstream acct;
-          acct << " job=" << record.id << " graph=" << record.graph_key
-               << " wall=" << format_duration(record.run_seconds)
-               << " queue=" << format_duration(record.wait_seconds)
-               << " threads=" << record.threads
-               << " cache=" << record.counters.cache_hits << "/"
-               << record.counters.cache_misses;
           reply.payload = record.output;
-          reply.accounting = acct.str();
+          reply.accounting = accounting(record);
         }
         done(format_reply(reply, request_id, protocol));
       });

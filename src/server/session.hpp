@@ -14,6 +14,16 @@
 ///   cancel <id>      cancel a still-queued job
 ///   proto [v1|compat]  report or switch the response framing
 ///
+/// A script read the current graph's ResultCache already holds (see
+/// Interpreter::run_cached_read) is answered inline too, on the
+/// dispatching thread and beside any job on the same graph: the session
+/// runs it under ResultCache::HitsOnly, so a value not yet published sends
+/// the command to the job queue instead of computing, and it files the
+/// answer with JobQueue::record_finished so the job table stays complete.
+/// Nothing of the session is queued or running when it dispatches (one
+/// dispatch at a time), so an inline answer never overtakes its own
+/// session's earlier command.
+///
 /// Any command may carry a client request id: `@<id> <command>`. The id is
 /// echoed on the response (`id=<id>`), which is what lets a pipelining
 /// client match interleaved responses to requests.
@@ -29,8 +39,10 @@
 ///   error [id=<rid>] <message>
 ///
 /// so clients frame responses by reading until a line starting "ok" or
-/// "error". Requests shed by admission control render as
-/// `error [id=<rid>] busy: <reason>` to stay parseable by old clients.
+/// "error". Every accounting field is one key=value token; durations
+/// carry their unit with no space (`wall=243.0us queue=0.0us`). Requests
+/// shed by admission control render as `error [id=<rid>] busy: <reason>`
+/// to stay parseable by old clients.
 ///
 /// **Framed v1** (`proto v1`): every response starts with one stable
 /// header line —
@@ -48,9 +60,9 @@
 /// handle_line() is synchronous (submit, wait, respond); dispatch() is the
 /// asynchronous form the event-driven TCP transport uses — the completion
 /// callback fires from a worker thread when the job finishes (or inline
-/// for server verbs and shed requests). Either way a session must be
-/// driven one command at a time; concurrency comes from many sessions
-/// sharing the queue and registry.
+/// for server verbs, cache-answered reads and shed requests). Either way
+/// a session must be driven one command at a time; concurrency comes from
+/// many sessions sharing the queue and registry.
 
 #include <functional>
 #include <memory>
@@ -75,8 +87,8 @@ class Session {
   enum class Protocol { kCompat, kFramedV1 };
 
   /// Receives one complete response (all lines '\n'-terminated). May be
-  /// invoked inline from dispatch() (server verbs, shed/busy) or later
-  /// from a job-queue worker thread (queued commands).
+  /// invoked inline from dispatch() (server verbs, cache-answered reads,
+  /// shed/busy) or later from a job-queue worker thread (queued commands).
   using Done = std::function<void(std::string)>;
 
   Session(std::string name, GraphRegistry& registry, JobQueue& queue,
@@ -88,8 +100,9 @@ class Session {
   /// embedders.
   std::string handle_line(const std::string& line);
 
-  /// Asynchronous form: parse the line, answer server verbs inline, and
-  /// submit script commands to the job queue with `done` as completion.
+  /// Asynchronous form: parse the line, answer server verbs and reads the
+  /// cache holds inline, and submit other script commands to the job
+  /// queue with `done` as completion.
   /// `done` is invoked exactly once — including when the job is cancelled
   /// by shutdown or shed by admission control — so the event loop never
   /// waits on a response that cannot arrive. At most one dispatch may be
@@ -120,6 +133,13 @@ class Session {
   [[nodiscard]] std::string format_reply(const Reply& reply,
                                          const std::string& request_id,
                                          Protocol protocol) const;
+  /// Serialization key of the session's current graph.
+  [[nodiscard]] std::string graph_key() const;
+  /// Answer `line` on this thread when it is a read the current graph's
+  /// ResultCache holds every value for; false (nothing replied) otherwise.
+  bool answer_from_cache(const std::string& line,
+                         const std::string& request_id, Protocol protocol,
+                         const Done& done);
   void run_command(const std::string& line, const std::string& request_id,
                    Protocol protocol, const Done& done);
   std::string handle_proto(const std::string& args,

@@ -1,10 +1,26 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "util/error.hpp"
 
 namespace graphct {
+
+std::int64_t parse_int_in_range(const std::string& what,
+                                const std::string& text, std::int64_t lo,
+                                std::int64_t hi) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  GCT_CHECK(!text.empty() && stop == end,
+            what + " expects an integer, got '" + text + "'");
+  // An integer past int64 parses whole but reports out of range.
+  GCT_CHECK(ec == std::errc() && v >= lo && v <= hi,
+            what + " must be in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got " + text);
+  return v;
+}
 
 Cli::Cli(int argc, const char* const* argv,
          std::map<std::string, std::string> spec)
@@ -61,12 +77,8 @@ std::int64_t Cli::get(const std::string& name, std::int64_t def) const {
 
 std::int64_t Cli::get_in_range(const std::string& name, std::int64_t def,
                                std::int64_t lo, std::int64_t hi) const {
-  const std::int64_t v = get(name, def);
-  GCT_CHECK(v >= lo && v <= hi, "flag --" + name + " must be in [" +
-                                    std::to_string(lo) + ", " +
-                                    std::to_string(hi) + "], got " +
-                                    std::to_string(v));
-  return v;
+  const std::string s = get(name, std::string());
+  return s.empty() ? def : parse_int_in_range("flag --" + name, s, lo, hi);
 }
 
 double Cli::get(const std::string& name, double def) const {

@@ -13,6 +13,15 @@
 
 namespace graphct {
 
+/// Parse all of `text` as a base-10 integer in [lo, hi]. Throws
+/// graphct::Error naming `what` ("flag --threads", "serve: port") when the
+/// text is not an integer or lies outside the bounds, so callers may
+/// narrow the result.
+[[nodiscard]] std::int64_t parse_int_in_range(const std::string& what,
+                                              const std::string& text,
+                                              std::int64_t lo,
+                                              std::int64_t hi);
+
 /// Parsed command line. Declare the accepted flags up front, then query.
 class Cli {
  public:

@@ -40,7 +40,23 @@ void record_resident_delta(double delta) {
 // job/command that obtained them finishes (JobQueue releases between jobs).
 thread_local std::vector<std::shared_ptr<const void>> t_pins;
 
+// The innermost open HitsOnly scope on this thread, or null.
+thread_local ResultCache::HitsOnly* t_hits_only = nullptr;
+
 }  // namespace
+
+ResultCache::HitsOnly::HitsOnly()
+    : outer_(t_hits_only), pins_mark_(t_pins.size()) {
+  t_hits_only = this;
+}
+
+ResultCache::HitsOnly::~HitsOnly() {
+  t_hits_only = outer_;
+  if (t_pins.size() > pins_mark_) {
+    t_pins.erase(t_pins.begin() + static_cast<std::ptrdiff_t>(pins_mark_),
+                 t_pins.end());
+  }
+}
 
 void ResultCache::pin_on_thread(std::shared_ptr<const void> value) {
   if (!t_pins.empty() && t_pins.back() == value) return;  // hot repeat
@@ -68,6 +84,7 @@ std::pair<std::shared_ptr<ResultCache::Entry>, bool> ResultCache::acquire(
   for (;;) {
     auto it = entries_.find(key);
     if (it == entries_.end()) {
+      if (t_hits_only != nullptr) throw NotCached();
       auto entry = std::make_shared<Entry>();
       entries_.emplace(key, entry);
       ++misses_;
@@ -76,13 +93,10 @@ std::pair<std::shared_ptr<ResultCache::Entry>, bool> ResultCache::acquire(
     }
     std::shared_ptr<Entry> entry = it->second;
     if (entry->ready) {
-      ++hits_;
-      record_hit();
-      if (entry->in_lru) {
-        lru_.splice(lru_.end(), lru_, entry->lru_it);  // touch: now hottest
-      }
+      hit_locked(*entry);
       return {entry, false};
     }
+    if (t_hits_only != nullptr) throw NotCached();
     // Another thread is computing this key; wait for it to publish or
     // abandon. Hold our own shared_ptr so invalidate() racing with the
     // computation cannot free the entry under us.
@@ -96,13 +110,18 @@ std::pair<std::shared_ptr<ResultCache::Entry>, bool> ResultCache::acquire(
     // to re-check rather than serve a value that was invalidated mid-wait.
     auto again = entries_.find(key);
     if (again != entries_.end() && again->second == entry) {
-      ++hits_;
-      record_hit();
-      if (entry->in_lru) {
-        lru_.splice(lru_.end(), lru_, entry->lru_it);
-      }
+      hit_locked(*entry);
       return {entry, false};
     }
+  }
+}
+
+void ResultCache::hit_locked(Entry& entry) {
+  ++hits_;
+  record_hit();
+  if (t_hits_only != nullptr) ++t_hits_only->hits_;
+  if (entry.in_lru) {
+    lru_.splice(lru_.end(), lru_, entry.lru_it);  // touch: now hottest
   }
 }
 

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -66,6 +67,40 @@ class ResultCache {
     std::int64_t evictions = 0;       ///< entries dropped by the budget
     std::int64_t resident_bytes = 0;  ///< estimated bytes of live entries
     std::int64_t budget_bytes = 0;    ///< configured budget (0 = unbounded)
+  };
+
+  /// Thrown by get_or_compute() inside a HitsOnly scope for a key with no
+  /// published value (absent, or still being computed by another thread).
+  class NotCached : public std::exception {
+   public:
+    [[nodiscard]] const char* what() const noexcept override {
+      return "result not cached";
+    }
+  };
+
+  /// While alive, get_or_compute() on this thread serves published values
+  /// as usual, but a key that is absent or still being computed throws
+  /// NotCached at once: no entry is inserted, no miss is counted, and the
+  /// thread never waits on another's computation. The server runs a read
+  /// this way on its dispatching thread, and queues it as a job on
+  /// NotCached. Counts the hits its own thread made (exact even while
+  /// other threads use the same cache), and on close drops the values a
+  /// bounded cache pinned on this thread inside the scope. Scopes nest;
+  /// the innermost counts.
+  class HitsOnly {
+   public:
+    HitsOnly();
+    ~HitsOnly();
+    HitsOnly(const HitsOnly&) = delete;
+    HitsOnly& operator=(const HitsOnly&) = delete;
+
+    [[nodiscard]] std::int64_t hits() const { return hits_; }
+
+   private:
+    friend class ResultCache;
+    HitsOnly* outer_;
+    std::size_t pins_mark_;
+    std::int64_t hits_ = 0;
   };
 
   ResultCache() = default;
@@ -134,8 +169,12 @@ class ResultCache {
   /// Look up or insert `key`. Returns the entry plus true when the caller
   /// must compute the value ("owner"); blocks when another thread owns an
   /// unpublished entry. Throws graphct::Error if the owning computation
-  /// failed (waiters do not retry on the owner's behalf).
+  /// failed (waiters do not retry on the owner's behalf). Inside a
+  /// HitsOnly scope, throws NotCached instead of inserting or blocking.
   std::pair<std::shared_ptr<Entry>, bool> acquire(const std::string& key);
+
+  /// Count a hit on a published `entry` and make it the hottest; mu_ held.
+  void hit_locked(Entry& entry);
 
   /// Publish an owned entry's value, charge the budget, evict LRU entries
   /// past it, and wake waiters.
@@ -145,7 +184,8 @@ class ResultCache {
   /// Remove a failed owned entry so a later call can retry.
   void abandon(const std::string& key, const std::shared_ptr<Entry>& entry);
 
-  /// Keep `value` alive on the calling thread until release_thread_pins().
+  /// Keep `value` alive on the calling thread until release_thread_pins()
+  /// (or the close of the HitsOnly scope it was pinned in).
   /// Bounded caches hand out values that eviction may drop from the table
   /// at any moment, while Toolkit accessors return plain references; the
   /// per-thread pin keeps those references valid for the duration of the

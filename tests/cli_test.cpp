@@ -65,6 +65,38 @@ TEST(CliTest, RangeCheckedIntegerReturnsInRangeValuesAndTheDefault) {
   EXPECT_EQ(absent.get_in_range("threads", 1, 1, 256), 1);
 }
 
+// The range message names the text as given: values past int64 included.
+TEST(CliTest, IntegerInRangeRejectsValuesPastEitherBound) {
+  EXPECT_EQ(parse_int_in_range("serve: port", "0", 0, 65535), 0);
+  EXPECT_EQ(parse_int_in_range("serve: port", "65535", 0, 65535), 65535);
+  EXPECT_EQ(parse_int_in_range("n", "-3", -5, 5), -3);
+  for (const std::string bad :
+       {"65536", "-1", "4294967297", "99999999999999999999999"}) {
+    try {
+      (void)parse_int_in_range("serve: port", bad, 0, 65535);
+      ADD_FAILURE() << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "serve: port must be in [0, 65535], got " + bad);
+    }
+  }
+}
+
+TEST(CliTest, IntegerInRangeRejectsTextThatIsNotAnInteger) {
+  for (const std::string bad : {"", "abc", "12abc", " 7", "+7", "-", "1.5"}) {
+    try {
+      (void)parse_int_in_range("partition: N", bad, 1, 4096);
+      ADD_FAILURE() << "'" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "partition: N expects an integer, got '" + bad + "'");
+    }
+  }
+  // Flags take the same parse: trailing characters are no longer dropped.
+  auto cli = make({"--threads", "4abc"}, {{"threads", "t"}});
+  EXPECT_THROW((void)cli.get_in_range("threads", 0, 0, 256), Error);
+}
+
 TEST(CliTest, QueryingUndeclaredFlagThrows) {
   auto cli = make({}, {{"scale", "s"}});
   EXPECT_THROW((void)cli.has("other"), Error);

@@ -125,6 +125,89 @@ TEST(ResultCacheTest, ConcurrentFirstCallersComputeOnce) {
   }
 }
 
+// ---------------------------------------------------- hits-only scope --
+
+TEST(ResultCacheTest, HitsOnlyThrowsForAnAbsentKeyAndInsertsNothing) {
+  ResultCache cache;
+  cache.get_or_compute<int>("other", [] { return 1; });
+  const auto before = cache.stats();
+  bool ran = false;
+  {
+    ResultCache::HitsOnly scope;
+    EXPECT_THROW(cache.get_or_compute<int>("k",
+                                           [&] {
+                                             ran = true;
+                                             return 7;
+                                           }),
+                 ResultCache::NotCached);
+    EXPECT_EQ(scope.hits(), 0);
+  }
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(cache.stats().entries, before.entries);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+  // Outside the scope the same call computes as always.
+  EXPECT_EQ(*cache.get_or_compute<int>("k", [] { return 7; }), 7);
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
+}
+
+TEST(ResultCacheTest, HitsOnlyThrowsAtOnceForAKeyStillBeingComputed) {
+  ResultCache cache;
+  std::promise<void> started;
+  std::promise<void> finish;
+  auto finished = finish.get_future().share();
+  std::thread owner([&] {
+    cache.get_or_compute<int>("slow", [&] {
+      started.set_value();
+      finished.wait();
+      return 5;
+    });
+  });
+  started.get_future().wait();
+  auto probe = std::async(std::launch::async, [&cache] {
+    ResultCache::HitsOnly scope;
+    try {
+      cache.get_or_compute<int>("slow", [] { return -1; });
+    } catch (const ResultCache::NotCached&) {
+      return true;
+    }
+    return false;
+  });
+  // A waiting probe would stay blocked until the owner is released.
+  const bool answered = probe.wait_for(10s) == std::future_status::ready;
+  finish.set_value();
+  owner.join();
+  ASSERT_TRUE(answered);
+  EXPECT_TRUE(probe.get());
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
+}
+
+TEST(ResultCacheTest, HitsOnlyServesAPublishedValueAndCountsItsHit) {
+  ResultCache cache;
+  auto computed = cache.get_or_compute<int>("k", [] { return 9; });
+  const auto before = cache.stats();
+  ResultCache::HitsOnly scope;
+  auto served = cache.get_or_compute<int>("k", [] { return -1; });
+  EXPECT_EQ(served.get(), computed.get());
+  EXPECT_EQ(scope.hits(), 1);
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+}
+
+TEST(ResultCacheTest, HitsOnlyScopeDropsThePinsItTook) {
+  ResultCache cache;
+  cache.set_budget_bytes(1000);
+  auto value = cache.get_or_compute<int>("k", [] { return 3; });
+  ResultCache::release_thread_pins();
+  const long held = value.use_count();  // ours and the cache's
+  {
+    ResultCache::HitsOnly scope;
+    cache.get_or_compute<int>("k", [] { return -1; });
+    EXPECT_EQ(value.use_count(), held + 1);  // pinned on this thread
+  }
+  EXPECT_EQ(value.use_count(), held);
+}
+
 // ------------------------------------------------------- cache eviction --
 
 TEST(ResultCacheTest, BudgetEvictsLeastRecentlyUsed) {
@@ -550,7 +633,9 @@ TEST(JobQueueTest, StoppingCancelsEachQueuedJobOnceWithWaitAndCount) {
     std::promise<void> release;
     auto released = release.get_future().share();
     std::atomic<bool> running{false};
-    admit(q, "x", "graph:block", "blocker", [&](JobCounters&) {
+    // The blocker holds its own copy of the future: `released` dies before
+    // `q` joins the worker that may still be waking from it.
+    admit(q, "x", "graph:block", "blocker", [&running, released](JobCounters&) {
       running.store(true);
       released.wait();
       return std::string();
@@ -608,6 +693,18 @@ std::vector<std::string> ok_lines(const std::string& transcript) {
     if (line.rfind("ok job=", 0) == 0) out.push_back(line);
   }
   return out;
+}
+
+/// The hits and misses of a reply's ` cache=<hits>/<misses>` accounting;
+/// {-1, -1} when the line carries none.
+std::pair<long, long> cache_traffic(const std::string& line) {
+  long hits = -1, misses = -1;
+  const auto pos = line.find(" cache=");
+  if (pos == std::string::npos ||
+      std::sscanf(line.c_str() + pos, " cache=%ld/%ld", &hits, &misses) != 2) {
+    return {-1, -1};
+  }
+  return {hits, misses};
 }
 
 TEST(ServerTest, StdioSessionServesRepeatedQueryFromCache) {
@@ -823,6 +920,183 @@ TEST(ServerTest, ConcurrentSessionsOnDifferentGraphsMakeProgress) {
 
   release.set_value();
   s1_thread.join();
+}
+
+/// A job that holds `graph_key` until the returned promise is set.
+std::promise<void> hold_graph(JobQueue& q, const std::string& graph_key) {
+  std::promise<void> release;
+  auto released = release.get_future().share();
+  auto running = std::make_shared<std::atomic<bool>>(false);
+  admit(q, "test", graph_key, "blocker", [running, released](JobCounters&) {
+    running->store(true);
+    released.wait();
+    return std::string();
+  });
+  while (!running->load()) std::this_thread::yield();
+  return release;
+}
+
+/// A reply's lines before its terminator.
+std::string payload_of(const std::string& reply) {
+  const auto ls = lines_of(reply);
+  std::string out;
+  for (std::size_t i = 0; i + 1 < ls.size(); ++i) out += ls[i] + "\n";
+  return out;
+}
+
+// A read the graph's cache holds answers on the dispatching thread: it
+// neither waits for a worker nor for the job holding its graph, and it is
+// recorded like any job.
+TEST(ServerTest, CachedReadsAnswerWhileAJobHoldsTheirGraph) {
+  Server srv(fast_server_opts(2));
+  srv.registry().add("g", star_of_cliques(3, 5));
+  auto warm = srv.open_session("warm");
+  warm->handle_line("use graph g");
+  const std::vector<std::string> reads = {"print degrees", "bc 8"};
+  std::vector<std::string> computed;
+  for (const auto& read : reads) computed.push_back(warm->handle_line(read));
+  auto reader = srv.open_session("reader");
+  reader->handle_line("use graph g");
+
+  std::promise<void> release = hold_graph(srv.jobs(), "graph:g");
+  std::vector<std::string> replies;
+  for (const auto& read : reads) {
+    auto reply = std::async(std::launch::async,
+                            [&reader, read] { return reader->handle_line(read); });
+    if (reply.wait_for(10s) != std::future_status::ready) {
+      ADD_FAILURE() << "'" << read << "' waited behind the blocker";
+      release.set_value();
+      reply.wait();
+      return;
+    }
+    replies.push_back(reply.get());
+  }
+  const std::string listing = reader->handle_line("jobs");
+  release.set_value();
+
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const std::string& reply = replies[i];
+    EXPECT_EQ(payload_of(reply), payload_of(computed[i])) << reads[i];
+    const std::string ok = lines_of(reply).back();
+    EXPECT_NE(ok.find(" queue=0.0us "), std::string::npos) << ok;
+    EXPECT_NE(ok.find(" threads=1 "), std::string::npos) << ok;
+    EXPECT_NE(ok.find(" graph=graph:g "), std::string::npos) << ok;
+    const auto [hits, misses] = cache_traffic(ok);
+    EXPECT_GT(hits, 0) << ok;
+    EXPECT_EQ(misses, 0) << ok;
+    unsigned long long id = 0;
+    ASSERT_EQ(std::sscanf(ok.c_str(), "ok job=%llu", &id), 1) << ok;
+    const auto record = srv.jobs().get(id);
+    ASSERT_TRUE(record.has_value()) << ok;
+    EXPECT_EQ(record->id, id);
+    EXPECT_EQ(record->state, JobState::kDone);
+    EXPECT_EQ(record->wait_seconds, 0.0);
+    EXPECT_EQ(record->command, reads[i]);
+    EXPECT_EQ(record->session, "reader");
+    // `jobs` lists the record: "<id> reader graph:g done <command> ...".
+    bool listed = false;
+    for (const auto& line : lines_of(listing)) {
+      std::istringstream row(line);
+      std::string row_id, session, graph, state;
+      row >> row_id >> session >> graph >> state;
+      listed |= row_id == std::to_string(id) && session == "reader" &&
+                graph == "graph:g" && state == "done";
+    }
+    EXPECT_TRUE(listed) << id << " not in\n" << listing;
+  }
+}
+
+// Reads the cache cannot answer by itself still queue behind a job that
+// holds their graph: a miss, a redirected hit (it writes a file), and a
+// hit while `workers` routing is on (it may spawn workers).
+TEST(ServerTest, MissesRedirectsAndRoutedReadsStillQueue) {
+  Server srv(fast_server_opts(2));
+  srv.registry().add("g", star_of_cliques(3, 5));
+  const std::string out_path = temp_path("gct_server_redirect.txt");
+  std::remove(out_path.c_str());
+  auto warm = srv.open_session("warm");
+  warm->handle_line("use graph g");
+  warm->handle_line("print degrees");
+  warm->handle_line("bc 8");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"miss", "print kcores"},
+      {"redirect", "bc 8 => " + out_path},
+      {"routed", "print degrees"}};
+  std::vector<std::shared_ptr<Session>> sessions;
+  for (const auto& [name, command] : cases) {
+    sessions.push_back(srv.open_session(name));
+    sessions.back()->handle_line("use graph g");
+  }
+  sessions[2]->handle_line("workers 1");
+
+  std::promise<void> release = hold_graph(srv.jobs(), "graph:g");
+  std::vector<std::future<std::string>> replies;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    replies.push_back(std::async(
+        std::launch::async, [session = sessions[i], line = cases[i].second] {
+          return session->handle_line(line);
+        }));
+  }
+  // Each command appears in the job table as queued, where the blocker
+  // keeps it until released.
+  std::size_t queued = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (queued < cases.size() && std::chrono::steady_clock::now() < deadline) {
+    queued = 0;
+    for (const auto& job : srv.jobs().snapshot()) {
+      if (job.session != "test" && job.graph_key == "graph:g" &&
+          job.state == JobState::kQueued) {
+        ++queued;
+      }
+    }
+    if (queued < cases.size()) std::this_thread::yield();
+  }
+  EXPECT_EQ(queued, cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_NE(replies[i].wait_for(0s), std::future_status::ready)
+        << cases[i].first;
+  }
+  release.set_value();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::string reply = replies[i].get();
+    EXPECT_NE(reply.find("\nok job="), std::string::npos) << reply;
+  }
+  EXPECT_TRUE(std::filesystem::exists(out_path));
+  std::remove(out_path.c_str());
+}
+
+TEST(ServerTest, CancelNamesABadJobId) {
+  Server srv(fast_server_opts(1));
+  auto s = srv.open_session();
+  for (const std::string arg : {"abc", "", "99999999999999999999999"}) {
+    const std::string line = arg.empty() ? "cancel" : "cancel " + arg;
+    EXPECT_EQ(s->handle_line(line),
+              "error cancel: expected a job id, got '" + arg + "'\n");
+  }
+}
+
+// Every field after `ok` in a compat terminator is one key=value token, so
+// a whitespace split recovers the accounting.
+TEST(ServerTest, AccountingFieldsAreOneKeyValueTokenEach) {
+  Server srv(fast_server_opts(2));
+  srv.registry().add("g", star_of_cliques(3, 5));
+  auto s = srv.open_session();
+  for (const char* line : {"use graph g", "print components",
+                           "print components", "@7 bc 4", "@8 bc 4"}) {
+    const std::string ok = lines_of(s->handle_line(line)).back();
+    std::istringstream tokens(ok);
+    std::string token;
+    tokens >> token;
+    EXPECT_EQ(token, "ok") << ok;
+    int fields = 0;
+    while (tokens >> token) {
+      const auto eq = token.find('=');
+      EXPECT_TRUE(eq != std::string::npos && eq > 0 && eq + 1 < token.size())
+          << "'" << token << "' in " << ok;
+      ++fields;
+    }
+    EXPECT_GE(fields, 6) << ok;
+  }
 }
 
 TEST(ServerTest, SharedGraphExtractionStaysPrivateToTheSession) {
@@ -1154,18 +1428,6 @@ struct TcpFixture {
 bool terminated_by(const std::vector<std::string>& reply,
                    const std::string& prefix) {
   return !reply.empty() && reply.back().rfind(prefix, 0) == 0;
-}
-
-/// The hits and misses of a reply's ` cache=<hits>/<misses>` accounting;
-/// {-1, -1} when the line carries none.
-std::pair<long, long> cache_traffic(const std::string& line) {
-  long hits = -1, misses = -1;
-  const auto pos = line.find(" cache=");
-  if (pos == std::string::npos ||
-      std::sscanf(line.c_str() + pos, " cache=%ld/%ld", &hits, &misses) != 2) {
-    return {-1, -1};
-  }
-  return {hits, misses};
 }
 
 // 200 connections open at once on one event loop. Even clients stay in

@@ -153,8 +153,11 @@ int cmd_serve(const Cli& cli) {
   lim.max_queued_jobs = limit("max-queued", lim.max_queued_jobs);
   lim.max_queued_per_session =
       limit("max-queued-per-session", lim.max_queued_per_session);
+  // 2^43 MiB (2^63 bytes) is past any host; the bound keeps the shift
+  // below from wrapping, to 0 (unbounded) among other values.
   lim.cache_budget_bytes =
-      static_cast<std::uint64_t>(cli.get("cache-budget-mb", std::int64_t{0}))
+      static_cast<std::uint64_t>(
+          cli.get_in_range("cache-budget-mb", 0, 0, std::int64_t{1} << 43))
       << 20;
   lim.read_timeout_seconds = cli.get("read-timeout", 0.0);
   lim.idle_timeout_seconds = cli.get("idle-timeout", 0.0);
@@ -166,7 +169,8 @@ int cmd_serve(const Cli& cli) {
     return 0;
   }
   GCT_CHECK(!cli.positional().empty(), "serve: need a port or --stdio");
-  const int port = static_cast<int>(std::stoll(cli.positional()[0]));
+  const int port = static_cast<int>(
+      parse_int_in_range("serve: port", cli.positional()[0], 0, 65535));
   return srv.serve_tcp(port, [&srv, &opts] {
     std::cerr << "graphctd listening on 127.0.0.1:" << srv.port() << " ("
               << opts.workers << " workers, " << opts.limits.max_connections
@@ -176,7 +180,8 @@ int cmd_serve(const Cli& cli) {
 
 int cmd_client(const Cli& cli) {
   GCT_CHECK(!cli.positional().empty(), "client: need a port");
-  const int port = static_cast<int>(std::stoll(cli.positional()[0]));
+  const int port = static_cast<int>(
+      parse_int_in_range("client: port", cli.positional()[0], 0, 65535));
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   GCT_CHECK(fd >= 0, "client: cannot create socket");
   sockaddr_in addr;
@@ -505,8 +510,8 @@ int cmd_pagerank(const Cli& cli) {
 
 int cmd_partition(const Cli& cli) {
   GCT_CHECK(cli.positional().size() >= 2, "partition: need <graph> <N>");
-  const int n = static_cast<int>(std::stoll(cli.positional()[1]));
-  GCT_CHECK(n >= 1 && n <= 4096, "partition: N must be in [1, 4096]");
+  const int n = static_cast<int>(
+      parse_int_in_range("partition: N", cli.positional()[1], 1, 4096));
   Toolkit tk = load_toolkit(cli.positional()[0]);
   CsrGraph decoded;
   const auto p = dist::partition_graph(tk.view().as_csr_or(decoded), n);
