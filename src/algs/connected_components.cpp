@@ -1,7 +1,6 @@
 #include "algs/connected_components.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -13,6 +12,10 @@ std::vector<vid> connected_components(const GraphView& g) {
   GCT_CHECK(!g.directed(),
             "connected_components: input must be undirected "
             "(use weak_components for directed graphs)");
+  return weak_components(g);
+}
+
+std::vector<vid> weak_components(const GraphView& g) {
   obs::KernelScope scope("components");
   const vid n = g.num_vertices();
   std::vector<vid> label(static_cast<std::size_t>(n));
@@ -24,7 +27,9 @@ std::vector<vid> connected_components(const GraphView& g) {
 
   // Alternate hooking (absorb the higher color into the lower across every
   // edge) with pointer-jumping compression until a fixed point. Each phase
-  // is fully parallel; atomic_min is the only synchronization.
+  // is fully parallel; atomic_min is the only synchronization. The hook
+  // treats an entry the same whichever row holds it, so a directed graph's
+  // out-rows reach the fixed point of its symmetrized copy.
   bool changed = true;
   while (changed) {
     changed = false;
@@ -68,23 +73,19 @@ std::vector<vid> connected_components(const GraphView& g) {
   return label;
 }
 
-std::vector<vid> weak_components(const GraphView& g) {
-  if (!g.directed()) return connected_components(g);
-  // Symmetrizing needs CSR surgery; a store-backed directed graph decodes
-  // to DRAM first (weak components of a >DRAM directed graph would need an
-  // out-of-core transpose — not provided).
-  if (const CsrGraph* csr = g.as_csr()) {
-    return connected_components(to_undirected(*csr));
-  }
-  return connected_components(to_undirected(g.materialize()));
-}
-
 ComponentStats component_stats(std::span<const vid> labels) {
-  std::unordered_map<vid, std::int64_t> counts;
-  for (vid l : labels) ++counts[l];
+  const auto n = static_cast<vid>(labels.size());
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(n), 0);
+  for (const vid l : labels) {
+    GCT_CHECK(l >= 0 && l < n, "component_stats: label is not a vertex id");
+    ++counts[static_cast<std::size_t>(l)];
+  }
   ComponentStats s;
-  s.num_components = static_cast<std::int64_t>(counts.size());
-  s.sizes.assign(counts.begin(), counts.end());
+  for (vid l = 0; l < n; ++l) {
+    const std::int64_t c = counts[static_cast<std::size_t>(l)];
+    if (c > 0) s.sizes.emplace_back(l, c);
+  }
+  s.num_components = static_cast<std::int64_t>(s.sizes.size());
   std::sort(s.sizes.begin(), s.sizes.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;

@@ -26,9 +26,9 @@ namespace graphct {
 /// weak_components). Runs over DRAM CSR or a packed store via GraphView.
 std::vector<vid> connected_components(const GraphView& g);
 
-/// Weakly connected components: symmetrizes a directed graph first
-/// (materializing a store-backed directed graph to do so), otherwise
-/// identical to connected_components.
+/// Weakly connected components: the same loop over the stored out-rows,
+/// each arc absorbing in both directions, so no symmetrized copy is built
+/// and a packed store is read in place.
 std::vector<vid> weak_components(const GraphView& g);
 
 /// Aggregate component statistics.
@@ -46,12 +46,13 @@ struct ComponentStats {
   }
 };
 
-/// Summarize a label array from connected_components().
+/// Summarize a label array from connected_components(). Each label must
+/// be a vertex id in [0, n); throws graphct::Error otherwise.
 ComponentStats component_stats(std::span<const vid> labels);
 
 /// Extract the largest (weakly) connected component as a subgraph — the
 /// paper's LWCC used throughout Table III. For directed graphs membership is
-/// decided on the symmetrized graph but the extracted subgraph keeps arcs.
+/// decided by weak components but the extracted subgraph keeps arcs.
 Subgraph largest_component(const CsrGraph& g);
 
 /// Extract the i-th largest component (0 = largest), as the scripting

@@ -79,12 +79,14 @@ void parse_chunk(std::string_view text, std::size_t lo, std::size_t hi,
 
 EdgeList parse_dimacs(std::string_view text) {
   const int nt = num_threads();
-  // Chunk boundaries snapped forward to line starts.
+  // Chunk boundaries snapped forward to line starts. Offset 0 already is
+  // one (a text shorter than the thread count puts boundaries there), so
+  // the snap never reads before the text.
   std::vector<std::size_t> starts(static_cast<std::size_t>(nt) + 1, 0);
   for (int t = 1; t < nt; ++t) {
     std::size_t p = text.size() * static_cast<std::size_t>(t) /
                     static_cast<std::size_t>(nt);
-    while (p < text.size() && text[p - 1] != '\n') ++p;
+    while (p > 0 && p < text.size() && text[p - 1] != '\n') ++p;
     starts[static_cast<std::size_t>(t)] = p;
   }
   starts[static_cast<std::size_t>(nt)] = text.size();

@@ -56,21 +56,40 @@ Subgraph induced_subgraph(const CsrGraph& g, std::span<const char> mask) {
     }
   }
 
-  EdgeList el(static_cast<vid>(orig_ids.size()));
-  for (vid u = 0; u < n; ++u) {
-    if (!mask[static_cast<std::size_t>(u)]) continue;
-    for (vid v : g.neighbors(u)) {
-      if (!mask[static_cast<std::size_t>(v)]) continue;
-      if (!g.directed() && u > v) continue;  // undirected: emit once
-      el.add(new_id[static_cast<std::size_t>(u)],
-             new_id[static_cast<std::size_t>(v)]);
+  // New ids ascend with the original ids, so each kept row is its old row
+  // filtered and renumbered in place: a sorted row stays sorted, and an
+  // undirected graph keeps both halves of every edge it keeps.
+  const auto k = static_cast<vid>(orig_ids.size());
+  std::vector<eid> offsets(static_cast<std::size_t>(k) + 1, 0);
+#pragma omp parallel for schedule(dynamic, 256)
+  for (vid i = 0; i < k; ++i) {
+    eid kept = 0;
+    for (vid v : g.neighbors(orig_ids[static_cast<std::size_t>(i)])) {
+      kept += mask[static_cast<std::size_t>(v)] ? 1 : 0;
     }
+    offsets[static_cast<std::size_t>(i)] = kept;
   }
-  BuildOptions opts;
-  opts.symmetrize = !g.directed();
-  opts.dedup = false;
-  opts.sort_adjacency = true;
-  return {build_csr(el, opts), std::move(orig_ids)};
+  offsets.back() = exclusive_scan(
+      std::span<const eid>(offsets.data(), static_cast<std::size_t>(k)),
+      std::span<eid>(offsets.data(), static_cast<std::size_t>(k)));
+
+  std::vector<vid> adjacency(static_cast<std::size_t>(offsets.back()));
+  vid self_loops = 0;
+#pragma omp parallel for reduction(+ : self_loops) schedule(dynamic, 256)
+  for (vid i = 0; i < k; ++i) {
+    vid* const row = adjacency.data() + offsets[static_cast<std::size_t>(i)];
+    vid* out = row;
+    for (vid v : g.neighbors(orig_ids[static_cast<std::size_t>(i)])) {
+      const vid w = new_id[static_cast<std::size_t>(v)];
+      if (w == kNoVertex) continue;
+      *out++ = w;
+      self_loops += w == i ? 1 : 0;
+    }
+    if (!g.sorted_adjacency()) std::sort(row, out);
+  }
+  return {CsrGraph(std::move(offsets), std::move(adjacency), g.directed(),
+                   self_loops, /*sorted_adjacency=*/true),
+          std::move(orig_ids)};
 }
 
 Subgraph extract_by_label(const CsrGraph& g, std::span<const vid> labels,

@@ -23,6 +23,7 @@
 #include "storage/packed_writer.hpp"
 #include "twitter/mention_graph.hpp"
 #include "twitter/tweet_io.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -678,11 +679,10 @@ void Interpreter::execute(const Command& cmd) {
     graphct::BetweennessOptions bo;
     bo.num_sources = parse_i64(cmd.tokens[1], cmd);
     if (cmd.tokens.size() >= 3) {
-      const std::int64_t mib = parse_i64(cmd.tokens[2], cmd);
-      if (mib <= 0) {
-        throw Error("script line " + std::to_string(cmd.line) +
-                    ": bc budget must be a positive MiB count");
-      }
+      // Checked before the shift to bytes: 2^44 MiB would wrap to 0.
+      const std::int64_t mib = graphct::parse_int_in_range(
+          "script line " + std::to_string(cmd.line) + ": bc budget (MiB)",
+          cmd.tokens[2], 1, std::int64_t{1} << 43);
       bo.score_memory_budget_bytes = static_cast<std::uint64_t>(mib) << 20;
     }
     // `workers N` routes betweenness through the dist substrate (scores

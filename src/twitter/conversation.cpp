@@ -12,15 +12,28 @@ namespace graphct::twitter {
 
 SubcommunityResult subcommunity_filter(const MentionGraph& mg) {
   SubcommunityResult r;
-  const CsrGraph und = mg.undirected();
-  r.original_vertices = und.num_vertices();
-  r.original_edges = und.num_edges();
-
-  {
-    graphct::Subgraph lwcc = graphct::largest_component(und);
-    r.lwcc_vertices = lwcc.graph.num_vertices();
-    r.lwcc_edges = lwcc.graph.num_edges();
+  // The original and LWCC sizes are those of mg.undirected() and its
+  // largest component, counted from the directed rows: weak components
+  // give the same labels, and an arc u->v is one undirected edge unless
+  // u > v and v->u exists (the pair is then counted at v).
+  const CsrGraph& d = mg.directed;
+  const vid n = d.num_vertices();
+  const auto labels = graphct::weak_components(d);
+  const auto stats = graphct::component_stats(labels);
+  const vid lwcc = stats.largest_label();
+  std::int64_t edges = 0;
+  std::int64_t lwcc_edges = 0;
+#pragma omp parallel for reduction(+ : edges, lwcc_edges) schedule(dynamic, 256)
+  for (vid u = 0; u < n; ++u) {
+    std::int64_t row = 0;
+    for (vid v : d.neighbors(u)) row += u <= v || !d.has_edge(v, u) ? 1 : 0;
+    edges += row;
+    if (labels[static_cast<std::size_t>(u)] == lwcc) lwcc_edges += row;
   }
+  r.original_vertices = n;
+  r.original_edges = edges;
+  r.lwcc_vertices = stats.largest_size();
+  r.lwcc_edges = lwcc_edges;
 
   // Mutual filter runs on the directed graph: u<->v only when both arcs
   // exist. Then drop everyone without a conversation partner.

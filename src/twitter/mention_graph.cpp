@@ -13,16 +13,6 @@ namespace graphct::twitter {
 
 namespace {
 
-/// FNV-1a over the lowercased bytes.
-std::uint64_t folded_hash(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(to_lower_ascii(c));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 bool folded_equal(std::string_view raw, const std::string& stored) {
   if (raw.size() != stored.size()) return false;
   for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -32,6 +22,15 @@ bool folded_equal(std::string_view raw, const std::string& stored) {
 }
 
 }  // namespace
+
+std::uint64_t UserIndex::name_hash(std::string_view name) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : name) {
+    h ^= static_cast<unsigned char>(to_lower_ascii(c));
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 std::size_t UserIndex::home(std::uint64_t hash) const {
   // Fibonacci hashing: the top bits of the product mix every hash bit.
@@ -70,12 +69,16 @@ void UserIndex::grow() {
 vid UserIndex::find(std::string_view name,
                     const std::vector<std::string>& users) const {
   if (slots_.empty()) return graphct::kNoVertex;
-  return slots_[probe(name, folded_hash(name), users)].id;
+  return slots_[probe(name, name_hash(name), users)].id;
 }
 
-vid UserIndex::intern(std::string_view name, std::vector<std::string>& users) {
+void UserIndex::prefetch(std::uint64_t hash) const {
+  if (!slots_.empty()) __builtin_prefetch(&slots_[home(hash)]);
+}
+
+vid UserIndex::intern(std::string_view name, std::uint64_t hash,
+                      std::vector<std::string>& users) {
   if (2 * (users.size() + 1) > slots_.size()) grow();
-  const std::uint64_t hash = folded_hash(name);
   Slot& s = slots_[probe(name, hash, users)];
   if (s.id == graphct::kNoVertex) {
     s = Slot{hash, static_cast<vid>(users.size())};
@@ -96,8 +99,8 @@ vid MentionGraph::id_of(const std::string& normalized_name) const {
                     : graphct::kNoVertex;
 }
 
-vid MentionGraphBuilder::intern(std::string_view name) {
-  const vid id = index_.intern(name, users_);
+vid MentionGraphBuilder::intern(std::string_view name, std::uint64_t hash) {
+  const vid id = index_.intern(name, hash, users_);
   mentioned_in_.resize(users_.size());
   return id;
 }
@@ -105,14 +108,41 @@ vid MentionGraphBuilder::intern(std::string_view name) {
 void MentionGraphBuilder::add(const Tweet& tweet) {
   const std::int64_t ordinal = ++num_tweets_;
   if (!retweet_source(tweet.text).empty()) ++retweets_;
-  const vid author = intern(tweet.author);
+  // The slot for this tweet holds the one that entered kInternWindow
+  // tweets ago; intern it before reusing the slot.
+  Pending& p = window_[static_cast<std::size_t>(ordinal % kInternWindow)];
+  if (ordinal > kInternWindow) intern_tweet(p);
+
+  p.names.clear();
+  p.index.clear();
+  auto push = [&](std::string_view name) {
+    const std::uint64_t h = UserIndex::name_hash(name);
+    index_.prefetch(h);
+    p.names.append(name);
+    p.index.push_back({p.names.size(), h});
+  };
+  push(tweet.author);
+  SymbolScanner scan(tweet.text);
+  for (Symbol s; scan.next(s);) {
+    if (s.sigil == '@') push(s.name);
+  }
+}
+
+void MentionGraphBuilder::intern_tweet(const Pending& tweet) {
+  const std::int64_t ordinal = ++num_interned_;
+  const std::string_view names = tweet.names;
+  std::size_t begin = 0;
+  auto next = [&](const Pending::Name& n) {
+    const vid id = intern(names.substr(begin, n.end - begin), n.hash);
+    begin = n.end;
+    return id;
+  };
+  const vid author = next(tweet.index.front());
 
   const std::size_t first = arcs_.size();
   bool self = false;
-  SymbolScanner scan(tweet.text);
-  for (Symbol s; scan.next(s);) {
-    if (s.sigil != '@') continue;
-    const vid t = intern(s.name);
+  for (std::size_t i = 1; i < tweet.index.size(); ++i) {
+    const vid t = next(tweet.index[i]);
     std::int64_t& last = mentioned_in_[static_cast<std::size_t>(t)];
     if (last == ordinal) continue;  // repeated within this tweet
     last = ordinal;
@@ -122,10 +152,14 @@ void MentionGraphBuilder::add(const Tweet& tweet) {
   if (arcs_.size() == first) return;
   ++tweets_with_mentions_;
   if (self) ++self_references_;
-  tweet_arcs_.push_back({author, first, arcs_.size()});
+  tweet_first_arc_.push_back(first);
 }
 
 MentionGraph MentionGraphBuilder::build() && {
+  for (std::int64_t o = num_interned_ + 1; o <= num_tweets_; ++o) {
+    intern_tweet(window_[static_cast<std::size_t>(o % kInternWindow)]);
+  }
+
   MentionGraph g;
   g.num_tweets = num_tweets_;
   g.tweets_with_mentions = tweets_with_mentions_;
@@ -133,8 +167,10 @@ MentionGraph MentionGraphBuilder::build() && {
   g.retweets = retweets_;
   g.num_users = static_cast<std::int64_t>(users_.size());
 
+  // The edge list takes the arcs over; the response count reads them back
+  // from it.
   graphct::EdgeList el(static_cast<vid>(users_.size()));
-  el.edges() = arcs_;  // copy; arcs_ is still needed for response counting
+  el.edges() = std::move(arcs_);
 
   graphct::BuildOptions opts;
   opts.symmetrize = false;   // keep direction for the conversation filter
@@ -150,14 +186,19 @@ MentionGraph MentionGraphBuilder::build() && {
   // A tweet "has a response" when it mentions at least one user who mentions
   // the author back somewhere in the corpus — i.e. it lies on a reciprocated
   // (conversation) arc.
+  const auto& arcs = el.edges();
   std::int64_t responses = 0;
-  const std::int64_t nt = static_cast<std::int64_t>(tweet_arcs_.size());
+  const auto nt = static_cast<std::int64_t>(tweet_first_arc_.size());
 #pragma omp parallel for reduction(+ : responses) schedule(dynamic, 256)
   for (std::int64_t i = 0; i < nt; ++i) {
-    const auto& ta = tweet_arcs_[static_cast<std::size_t>(i)];
-    for (std::size_t a = ta.first; a < ta.last; ++a) {
-      const vid target = arcs_[a].dst;
-      if (target != ta.author && g.directed.has_edge(target, ta.author)) {
+    const std::size_t first = tweet_first_arc_[static_cast<std::size_t>(i)];
+    const std::size_t last =
+        i + 1 < nt ? tweet_first_arc_[static_cast<std::size_t>(i) + 1]
+                   : arcs.size();
+    const vid author = arcs[first].src;
+    for (std::size_t a = first; a < last; ++a) {
+      const vid target = arcs[a].dst;
+      if (target != author && g.directed.has_edge(target, author)) {
         ++responses;
         break;
       }

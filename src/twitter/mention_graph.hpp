@@ -11,7 +11,8 @@
 /// then its mentions in text order. The builder scans each text with the
 /// same SymbolScanner parse_tweet() uses and interns names into a flat
 /// UserIndex, so ingesting a tweet allocates nothing once the builder's
-/// vectors have grown (new users' names aside).
+/// vectors have grown (new users' names aside). Interning runs a window of
+/// tweets behind the scan so each lookup finds its slot already loaded.
 
 #include <cstdint>
 #include <string>
@@ -34,13 +35,23 @@ using graphct::vid;
 /// out of a tweet is looked up without first copying it.
 class UserIndex {
  public:
+  /// The key a name is filed under: FNV-1a over its lowercased bytes.
+  [[nodiscard]] static std::uint64_t name_hash(std::string_view name);
+
   /// Id of the user named lowercase(name) in `users`, or kNoVertex.
   [[nodiscard]] vid find(std::string_view name,
                          const std::vector<std::string>& users) const;
 
-  /// Id of lowercase(name); a new name is appended to `users` and gets the
-  /// next id, so ids follow first occurrence.
-  vid intern(std::string_view name, std::vector<std::string>& users);
+  /// Id of lowercase(name), where `hash` is name_hash(name); a new name is
+  /// appended to `users` and gets the next id, so ids follow first
+  /// occurrence.
+  vid intern(std::string_view name, std::uint64_t hash,
+             std::vector<std::string>& users);
+
+  /// Start loading the slot where a lookup of `hash` begins, so a later
+  /// intern() of that name finds it in cache. A hint only: a table that
+  /// grows in between just loses it.
+  void prefetch(std::uint64_t hash) const;
 
  private:
   struct Slot {
@@ -92,33 +103,54 @@ struct MentionGraph {
   [[nodiscard]] vid id_of(const std::string& normalized_name) const;
 };
 
+/// Tweets a MentionGraphBuilder scans ahead of the one it interns. Each
+/// lookup costs a dependent cache miss on its slot; scanning this far ahead
+/// and prefetching every name's slot overlaps those misses (group
+/// prefetching, Chen et al., ICDE 2004). Holds this many tweets' names.
+inline constexpr std::int64_t kInternWindow = 16;
+
 /// Incrementally ingest tweets and build the mention graph.
 class MentionGraphBuilder {
  public:
-  /// Ingest one raw tweet: count it, intern its author and mentions, and
-  /// record one arc per distinct mention.
+  /// Ingest one raw tweet: count it, scan its author and mentions into the
+  /// window and prefetch their slots, then intern the tweet that entered
+  /// the window kInternWindow tweets earlier, recording one arc per
+  /// distinct mention. Ids, arcs and counts are those of interning each
+  /// tweet as it arrives.
   void add(const Tweet& tweet);
 
-  /// Finish: deduplicate, build CSR, and compute the response statistics.
-  /// The builder is consumed.
+  /// Finish: intern the tweets left in the window, deduplicate, build CSR,
+  /// and compute the response statistics. The builder is consumed.
   MentionGraph build() &&;
 
  private:
-  vid intern(std::string_view name);
+  /// A scanned tweet waiting in the window: its author, then each '@'
+  /// mention in text order, back to back in `names`.
+  struct Pending {
+    struct Name {
+      std::size_t end;  ///< one past the name's last byte in `names`
+      std::uint64_t hash;
+    };
+    std::string names;
+    std::vector<Name> index;
+  };
+
+  void intern_tweet(const Pending& tweet);
+  vid intern(std::string_view name, std::uint64_t hash);
 
   std::vector<std::string> users_;
   UserIndex index_;
+  // Tweet number o (1-based) waits in window_[o % kInternWindow].
+  std::vector<Pending> window_ =
+      std::vector<Pending>(static_cast<std::size_t>(kInternWindow));
+  std::int64_t num_interned_ = 0;
   // mentioned_in_[v] is the ordinal of the last tweet that mentioned v:
   // the within-tweet duplicate test, with nothing to clear between tweets.
   std::vector<std::int64_t> mentioned_in_;
   std::vector<graphct::Edge> arcs_;  // author -> mentioned, per tweet mention
-  // One record per tweet that has mentions: (author, first..last arc range)
-  struct TweetArcs {
-    vid author;
-    std::size_t first;
-    std::size_t last;
-  };
-  std::vector<TweetArcs> tweet_arcs_;
+  // Per tweet with mentions, the index of its first arc; its arcs end where
+  // the next such tweet's begin.
+  std::vector<std::size_t> tweet_first_arc_;
   std::int64_t num_tweets_ = 0;
   std::int64_t tweets_with_mentions_ = 0;
   std::int64_t self_references_ = 0;

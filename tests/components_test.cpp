@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "gen/random_graphs.hpp"
+#include "gen/rmat.hpp"
 #include "gen/shapes.hpp"
+#include "graph/builder.hpp"
+#include "storage/graph_store.hpp"
+#include "storage/packed_writer.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -56,6 +63,75 @@ TEST(WeakComponentsTest, SymmetrizesDirected) {
   EXPECT_EQ(labels[1], 0);
   EXPECT_EQ(labels[2], 0);
   EXPECT_EQ(labels[3], 3);
+}
+
+// weak_components hooks the directed out-rows in place; its labels must be
+// those of the symmetrized copy connected_components would label.
+void expect_labels_of_symmetrized_copy(const CsrGraph& g) {
+  EXPECT_EQ(weak_components(g), connected_components(to_undirected(g)));
+}
+
+TEST(WeakComponentsTest, DirectedRowsGiveTheSymmetrizedLabels) {
+  expect_labels_of_symmetrized_copy(make_directed(0, {}));
+  expect_labels_of_symmetrized_copy(make_directed(1, {}));
+  expect_labels_of_symmetrized_copy(make_directed(4, {{0, 0}, {2, 2}, {3, 3}}));
+  // One-way chains, each way round.
+  expect_labels_of_symmetrized_copy(
+      make_directed(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+  expect_labels_of_symmetrized_copy(
+      make_directed(6, {{5, 4}, {4, 3}, {3, 2}, {2, 1}, {1, 0}}));
+  // In-stars and out-stars, with the hub at the lowest and highest id.
+  expect_labels_of_symmetrized_copy(
+      make_directed(6, {{1, 0}, {2, 0}, {3, 0}, {5, 0}}));
+  expect_labels_of_symmetrized_copy(
+      make_directed(6, {{0, 5}, {1, 5}, {2, 5}, {4, 5}}));
+  expect_labels_of_symmetrized_copy(
+      make_directed(6, {{0, 1}, {0, 2}, {0, 3}, {0, 5}}));
+  expect_labels_of_symmetrized_copy(
+      make_directed(6, {{5, 0}, {5, 1}, {5, 2}, {5, 4}}));
+  // Two parts joined only by one arc from a high id to a low id.
+  const auto joined = make_directed(
+      8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}, {7, 0}});
+  expect_labels_of_symmetrized_copy(joined);
+  EXPECT_EQ(weak_components(joined), std::vector<vid>(8, 0));
+
+  RmatOptions r;
+  r.scale = 10;
+  r.edge_factor = 4;
+  BuildOptions directed;
+  directed.symmetrize = false;
+  expect_labels_of_symmetrized_copy(build_csr(rmat_edges(r), directed));
+}
+
+TEST(WeakComponentsTest, DirectedPackedStoreUnderEitherCodec) {
+  RmatOptions r;
+  r.scale = 10;
+  r.edge_factor = 2;  // sparse enough to leave several components
+  BuildOptions directed;
+  directed.symmetrize = false;
+  const CsrGraph g = build_csr(rmat_edges(r), directed);
+  const auto want = connected_components(to_undirected(g));
+  ASSERT_GT(component_stats(want).num_components, 1);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gct_weak_components.gctp")
+          .string();
+  for (const auto codec : {storage::Codec::kVarint, storage::Codec::kNone}) {
+    storage::PackOptions opts;
+    opts.codec = codec;
+    opts.block_target_bytes = 1024;
+    storage::pack_graph(g, path, opts);
+    const storage::GraphStore store(path);
+    EXPECT_EQ(weak_components(GraphView(store)), want);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ComponentStatsTest, LabelOutsideTheVertexRangeThrows) {
+  EXPECT_THROW(component_stats(std::vector<vid>{0, -1, 0}), Error);
+  EXPECT_THROW(component_stats(std::vector<vid>{0, 3, 0}), Error);
+  EXPECT_THROW(component_stats(std::vector<vid>{kNoVertex}), Error);
+  EXPECT_EQ(component_stats(std::vector<vid>{2, 2, 2}).num_components, 1);
+  EXPECT_EQ(component_stats(std::vector<vid>{}).num_components, 0);
 }
 
 TEST(ComponentStatsTest, SortsBySizeThenLabel) {

@@ -4,6 +4,10 @@
 
 #include <set>
 
+#include "algs/connected_components.hpp"
+#include "twitter/corpus_gen.hpp"
+#include "twitter/datasets.hpp"
+
 namespace graphct::twitter {
 namespace {
 
@@ -71,6 +75,54 @@ TEST(SubcommunityTest, LwccOfOriginalComputed) {
   EXPECT_EQ(r.original_vertices, 5);
   EXPECT_EQ(r.lwcc_vertices, 3);  // a-b-e
   EXPECT_EQ(r.lwcc_edges, 2);
+}
+
+// The filter counts the original graph and its LWCC from the directed
+// rows; the counts must be those of the undirected view and of the LWCC
+// extracted from it.
+void expect_counts_of_undirected_view(const MentionGraph& mg) {
+  const auto r = subcommunity_filter(mg);
+  const CsrGraph und = mg.undirected();
+  const Subgraph lwcc = largest_component(und);
+  EXPECT_EQ(r.original_vertices, und.num_vertices());
+  EXPECT_EQ(r.original_edges, und.num_edges());
+  EXPECT_EQ(r.lwcc_vertices, lwcc.graph.num_vertices());
+  EXPECT_EQ(r.lwcc_edges, lwcc.graph.num_edges());
+}
+
+TEST(SubcommunityTest, CountsEqualTheUndirectedViewAndItsLwcc) {
+  for (const char* preset : {"atlflood", "h1n1"}) {
+    MentionGraphBuilder b;
+    for (const auto& t : generate_corpus(dataset_preset(preset).corpus)) {
+      b.add(t);
+    }
+    SCOPED_TRACE(preset);
+    expect_counts_of_undirected_view(std::move(b).build());
+  }
+  // Ids a..h follow first occurrence. b->a and h->g are each counted with
+  // their reverse; e->a runs from a higher id to a lower one with no
+  // reverse; c and g refer to themselves; d and z mention nobody.
+  const auto mg = build({tw(1, "a", "@b"), tw(2, "b", "@a"), tw(3, "c", "@c"),
+                         tw(4, "d", "no mentions"), tw(5, "e", "@a @f"),
+                         tw(6, "g", "@g @h"), tw(7, "h", "@g"),
+                         tw(8, "z", "plain")});
+  expect_counts_of_undirected_view(mg);
+  const auto r = subcommunity_filter(mg);
+  EXPECT_EQ(r.original_vertices, 9);
+  EXPECT_EQ(r.original_edges, 6);  // a-b, c-c, a-e, e-f, g-g, g-h
+  EXPECT_EQ(r.lwcc_vertices, 4);   // a, b, e, f
+  EXPECT_EQ(r.lwcc_edges, 3);
+}
+
+// An empty corpus has no largest component to extract; the counts read 0
+// instead of the extraction's out-of-range error.
+TEST(SubcommunityTest, EmptyMentionGraphCountsZero) {
+  const auto r = subcommunity_filter(build({}));
+  EXPECT_EQ(r.original_vertices, 0);
+  EXPECT_EQ(r.original_edges, 0);
+  EXPECT_EQ(r.lwcc_vertices, 0);
+  EXPECT_EQ(r.lwcc_edges, 0);
+  EXPECT_EQ(r.mutual_vertices, 0);
 }
 
 TEST(SubcommunityTest, SelfReferenceIsNotAConversation) {

@@ -156,6 +156,27 @@ TEST(InterpreterTest, BcVerbBudget) {
   EXPECT_THROW(in.run("bc 16 1 2\n"), Error);
 }
 
+// The budget is range-checked before it is shifted to bytes: 2^44 MiB
+// once wrapped to a 0-byte budget and was accepted.
+TEST(InterpreterTest, BcBudgetOutsideItsRangeNamesTheRange) {
+  std::ostringstream out;
+  Interpreter in(out, fast_opts());
+  in.run("generate rmat 4 4\n");
+  for (const char* mib : {"17592186044416", "0", "-1"}) {
+    try {
+      in.run(std::string("bc 4 ") + mib + "\n");
+      ADD_FAILURE() << "bc 4 " << mib << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("script line 1: bc budget (MiB) must be in [1, "
+                            "8796093022208], got ") +
+                    mib);
+    }
+  }
+  in.run("bc 4 8796093022208\n");
+  EXPECT_NE(out.str().find("bc sources=4"), std::string::npos);
+}
+
 TEST(InterpreterTest, BcVerbToFile) {
   std::ostringstream out;
   Interpreter in(out, fast_opts());

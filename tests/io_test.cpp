@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
 #include "graph/io_binary.hpp"
 #include "graph/io_dimacs.hpp"
@@ -12,6 +13,7 @@
 #include "gen/rmat.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace graphct {
@@ -93,6 +95,34 @@ TEST(DimacsRoundTripTest, FileIo) {
   const auto g2 = build_csr(read_dimacs(path));
   EXPECT_EQ(g, g2);
   std::remove(path.c_str());
+}
+
+// A text shorter than the thread count puts chunk boundaries at offset 0,
+// where the snap to a line start must not read the byte before the text.
+// Each text is parsed from its own heap block, so ASan sees such a read.
+TEST(DimacsParseTest, TextShorterThanTheThreadCountParsesAsAtOneThread) {
+  auto parse_at = [](int threads, const std::string& text) {
+    set_num_threads(threads);
+    const std::vector<char> heap(text.begin(), text.end());
+    std::vector<Edge> edges;
+    vid hint = kNoVertex;
+    std::string error;
+    try {
+      const EdgeList el =
+          parse_dimacs(std::string_view(heap.data(), heap.size()));
+      edges = el.edges();
+      hint = el.num_vertices_hint();
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    set_num_threads(0);
+    return std::make_tuple(edges, hint, error);
+  };
+  for (const std::string text :
+       {"p sp 2 1\na 1 2 7\n", "a 1 2\ne 2 1", "\n", "", "c\n", "q 1 2\n",
+        "a 1\n", "p sp 1 0\na 2 1\n"}) {
+    EXPECT_EQ(parse_at(32, text), parse_at(1, text)) << text;
+  }
 }
 
 TEST(DimacsParseTest, ParallelParseMatchesSerialOnLargeInput) {

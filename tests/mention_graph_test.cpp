@@ -105,6 +105,55 @@ TEST(MentionGraphTest, EmptyBuilder) {
   EXPECT_EQ(g.directed.num_vertices(), 0);
 }
 
+// add() interns each tweet kInternWindow tweets after scanning it and
+// build() interns the rest, so streams that end inside the first window,
+// on its edge and just past it give the ids and arcs of interning at once.
+TEST(MentionGraphTest, StreamsShorterThanTheInternWindowDrainInBuild) {
+  for (const std::int64_t count :
+       {std::int64_t{1}, kInternWindow - 1, kInternWindow, kInternWindow + 1,
+        2 * kInternWindow + 3}) {
+    MentionGraphBuilder b;
+    for (std::int64_t i = 0; i < count; ++i) {
+      b.add(tw(i, "u" + std::to_string(2 * i),
+               "@U" + std::to_string(2 * i + 1) + " @u" +
+                   std::to_string(2 * i + 1)));
+    }
+    const auto g = std::move(b).build();
+    ASSERT_EQ(g.num_users, 2 * count) << count;
+    for (std::int64_t v = 0; v < 2 * count; ++v) {
+      EXPECT_EQ(g.users[static_cast<std::size_t>(v)], "u" + std::to_string(v));
+    }
+    EXPECT_EQ(g.num_tweets, count);
+    EXPECT_EQ(g.tweets_with_mentions, count);
+    EXPECT_EQ(g.unique_interactions, count);
+    for (std::int64_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(g.directed.has_edge(2 * i, 2 * i + 1)) << i;
+    }
+  }
+}
+
+TEST(MentionGraphTest, TweetWithMoreMentionsThanTheInternWindow) {
+  std::string text;
+  const std::int64_t mentions = 2 * kInternWindow + 5;
+  for (std::int64_t i = 0; i < mentions; ++i) {
+    text += "@m" + std::to_string(i) + " ";
+  }
+  text += "@M5 @hub";  // a repeat in other case, then a self-reference
+  const auto g = build({tw(1, "hub", text), tw(2, "m3", "@hub")});
+  ASSERT_EQ(g.num_users, mentions + 1);
+  EXPECT_EQ(g.users[0], "hub");
+  for (std::int64_t i = 0; i < mentions; ++i) {
+    EXPECT_EQ(g.users[static_cast<std::size_t>(i) + 1],
+              "m" + std::to_string(i));
+    EXPECT_TRUE(g.directed.has_edge(0, i + 1)) << i;
+  }
+  EXPECT_EQ(g.directed.num_edges(), mentions + 2);  // + hub->hub, m3->hub
+  EXPECT_EQ(g.unique_interactions, mentions + 1);
+  EXPECT_EQ(g.self_references, 1);
+  EXPECT_EQ(g.tweets_with_mentions, 2);
+  EXPECT_EQ(g.tweets_with_responses, 2);  // hub <-> m3
+}
+
 TEST(MentionGraphTest, PaperConversationFigure1) {
   // The Fig. 1 H1N1 exchange: jaketapper <-> dancharles is a conversation.
   const auto g = build({

@@ -79,6 +79,75 @@ TEST(InducedSubgraphTest, KeepsSelfLoops) {
   EXPECT_EQ(sub.graph.num_self_loops(), 1);
 }
 
+// induced_subgraph as it was before it cut rows directly: stage every kept
+// edge in an EdgeList and rebuild with build_csr. The reference the direct
+// cut must equal bit for bit.
+Subgraph staged_induced_subgraph(const CsrGraph& g,
+                                 std::span<const char> mask) {
+  const vid n = g.num_vertices();
+  std::vector<vid> new_id(static_cast<std::size_t>(n), kNoVertex);
+  std::vector<vid> orig_ids;
+  for (vid v = 0; v < n; ++v) {
+    if (mask[static_cast<std::size_t>(v)]) {
+      new_id[static_cast<std::size_t>(v)] = static_cast<vid>(orig_ids.size());
+      orig_ids.push_back(v);
+    }
+  }
+  EdgeList el(static_cast<vid>(orig_ids.size()));
+  for (vid u = 0; u < n; ++u) {
+    if (!mask[static_cast<std::size_t>(u)]) continue;
+    for (vid v : g.neighbors(u)) {
+      if (!mask[static_cast<std::size_t>(v)]) continue;
+      if (!g.directed() && u > v) continue;
+      el.add(new_id[static_cast<std::size_t>(u)],
+             new_id[static_cast<std::size_t>(v)]);
+    }
+  }
+  BuildOptions opts;
+  opts.symmetrize = !g.directed();
+  opts.dedup = false;
+  opts.sort_adjacency = true;
+  return {build_csr(el, opts), std::move(orig_ids)};
+}
+
+TEST(InducedSubgraphTest, DirectCutEqualsTheStagedRebuild) {
+  // Random arcs with self-loops and repeats, built every way a CsrGraph can
+  // hold them: directed or undirected, rows sorted or not, repeats kept or
+  // merged. Masks run from empty to full.
+  Rng rng(2024);
+  for (int trial = 0; trial < 24; ++trial) {
+    const vid n = 1 + static_cast<vid>(rng.next_below(40));
+    EdgeList el(n);
+    const auto m = rng.next_below(static_cast<std::uint64_t>(4 * n));
+    for (std::uint64_t i = 0; i < m; ++i) {
+      const vid u = static_cast<vid>(rng.next_below(static_cast<std::uint64_t>(n)));
+      const vid v = rng.next_bool(0.1)
+                        ? u
+                        : static_cast<vid>(
+                              rng.next_below(static_cast<std::uint64_t>(n)));
+      el.add(u, v);
+      if (rng.next_bool(0.2)) el.add(u, v);  // a repeated entry
+    }
+    BuildOptions b;
+    b.symmetrize = trial % 2 == 0;
+    b.sort_adjacency = trial % 4 < 2;
+    b.dedup = b.sort_adjacency && trial % 8 < 4;
+    const CsrGraph g = build_csr(el, b);
+    ASSERT_EQ(g.sorted_adjacency(), b.sort_adjacency);
+    for (const double keep : {0.0, 0.3, 0.7, 1.0}) {
+      std::vector<char> mask(static_cast<std::size_t>(n));
+      for (auto& c : mask) c = rng.next_bool(keep) ? 1 : 0;
+      const Subgraph got = induced_subgraph(g, mask);
+      const Subgraph want = staged_induced_subgraph(g, mask);
+      EXPECT_EQ(got.graph, want.graph) << "trial " << trial << " keep " << keep;
+      EXPECT_EQ(got.orig_ids, want.orig_ids);
+      EXPECT_TRUE(got.graph.sorted_adjacency());
+      EXPECT_EQ(got.graph.num_self_loops(), want.graph.num_self_loops());
+      EXPECT_EQ(got.graph.directed(), g.directed());
+    }
+  }
+}
+
 TEST(InducedSubgraphTest, MaskSizeMismatchThrows) {
   const auto g = make_undirected(3, {{0, 1}});
   std::vector<char> mask{1, 1};

@@ -390,8 +390,9 @@ int cmd_bc(const Cli& cli) {
   GCT_CHECK(k == 0 || workers == 0,
             "bc: --workers applies to plain betweenness only (not --k)");
   const auto sources = cli.get("sources", std::int64_t{kNoVertex});
-  const auto budget_mb = cli.get("budget-mb", std::int64_t{1024});
-  GCT_CHECK(budget_mb > 0, "bc: --budget-mb must be positive");
+  // Checked before the shift to bytes: 2^44 MiB would wrap to 0.
+  const auto budget_mb =
+      cli.get_in_range("budget-mb", 1024, 1, std::int64_t{1} << 43);
   std::vector<double> scores;
   double seconds;
   if (k == 0) {
@@ -645,8 +646,11 @@ int main(int argc, char** argv) {
       GCT_CHECK(cli.positional().size() >= 4 && cli.positional()[0] == "rmat",
                 "generate: need 'rmat <scale> <edge factor> <out>'");
       graphct::RmatOptions r;
-      r.scale = std::stoll(cli.positional()[1]);
-      r.edge_factor = std::stoll(cli.positional()[2]);
+      r.scale = graphct::parse_int_in_range("generate: scale",
+                                            cli.positional()[1], 1, 40);
+      r.edge_factor = graphct::parse_int_in_range(
+          "generate: edge factor", cli.positional()[2], 1,
+          std::numeric_limits<std::int64_t>::max());
       const auto g = graphct::rmat_graph(r);
       save_graph(g, cli.positional()[3]);
       std::cout << "generated scale-" << r.scale << " R-MAT: "
