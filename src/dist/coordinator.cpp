@@ -180,6 +180,39 @@ std::pair<std::int64_t, std::int64_t> Coordinator::owned_span(
   return {lo - sorted.begin(), hi - lo};
 }
 
+std::vector<vid> Coordinator::expand_level(
+    Msg type, const std::vector<std::string>& payloads, Msg expect,
+    const char* what, std::vector<vid>& dist, vid d) {
+  std::vector<vid> next;
+  std::vector<std::int64_t> candidates;
+  // First assignment wins: a vertex joins the level the first time any
+  // worker proposes it, so reply order and the duplicates that threaded
+  // workers race into their candidate lists never matter.
+  exchange(type, payloads, expect, what, [&](int, std::string& reply) {
+    WireReader r(reply);
+    r.i64_vec(candidates);
+    for (const std::int64_t c : candidates) {
+      auto& dc = dist[static_cast<std::size_t>(c)];
+      if (dc == kNoVertex) {
+        dc = d;
+        next.push_back(static_cast<vid>(c));
+      }
+    }
+  });
+  // Canonical order is ascending ids. The level is exactly the vertices at
+  // depth d, so a dense level is read off `dist` in one pass; a sparse one
+  // is sorted, which keeps a long path at O(s log s) per level, not O(n).
+  if (static_cast<vid>(next.size()) * 64 >= global_n_) {
+    std::size_t k = 0;
+    for (vid v = 0; v < global_n_; ++v) {
+      if (dist[static_cast<std::size_t>(v)] == d) next[k++] = v;
+    }
+  } else {
+    std::sort(next.begin(), next.end());
+  }
+  return next;
+}
+
 void Coordinator::connect(const std::vector<int>& ports) {
   GCT_CHECK(!ports.empty(), "dist: need at least one worker port");
   shutdown();
@@ -305,7 +338,6 @@ std::vector<vid> Coordinator::bfs_distances(vid source, vid max_depth) {
   std::vector<vid> frontier{source};
   std::vector<std::string> payloads(
       static_cast<std::size_t>(num_workers()));
-  std::vector<std::int64_t> candidates;
   vid level = 0;
   std::int64_t steps = 0;
   while (!frontier.empty() &&
@@ -321,22 +353,8 @@ std::vector<vid> Coordinator::bfs_distances(vid source, vid max_depth) {
           frontier.data() + off, static_cast<std::size_t>(len)));
       payloads[static_cast<std::size_t>(w)] = msg.take();
     }
-    std::vector<vid> next;
-    // First-assignment dedup then a sort: merge order never matters.
-    exchange(Msg::kBfsStep, payloads, Msg::kBfsFrontier, "bfs",
-             [&](int, std::string& reply) {
-               WireReader r(reply);
-               r.i64_vec(candidates);
-               for (const std::int64_t c : candidates) {
-                 auto& d = dist[static_cast<std::size_t>(c)];
-                 if (d == kNoVertex) {
-                   d = level + 1;
-                   next.push_back(static_cast<vid>(c));
-                 }
-               }
-             });
-    std::sort(next.begin(), next.end());
-    frontier.swap(next);
+    frontier = expand_level(Msg::kBfsStep, payloads, Msg::kBfsFrontier,
+                            "bfs", dist, level + 1);
     ++level;
     ++steps;
     step_seconds().observe(step_timer.seconds());
@@ -508,7 +526,6 @@ std::vector<double> Coordinator::betweenness(std::span<const vid> sources) {
   std::vector<std::vector<vid>> levels;
   std::vector<double> sigma_prev;
   std::vector<double> values;
-  std::vector<std::int64_t> candidates;
   std::vector<double> block;
 
   // Copy one worker's reply values into its owned slice of a buffer
@@ -554,25 +571,14 @@ std::vector<double> Coordinator::betweenness(std::span<const vid> sources) {
           WireWriter msg;
           msg.u64(static_cast<std::uint64_t>(d));
           msg.f64_span(sigma_prev);
-          exchange(Msg::kBcForward, {msg.take()}, Msg::kBcCandidates,
-                   "bc.forward", [&](int, std::string& reply) {
-                     WireReader r(reply);
-                     r.i64_vec(candidates);
-                     for (const std::int64_t c : candidates) {
-                       auto& dc = dist[static_cast<std::size_t>(c)];
-                       if (dc == kNoVertex) {
-                         dc = d;
-                         next.push_back(static_cast<vid>(c));
-                       }
-                     }
-                   });
+          next = expand_level(Msg::kBcForward, {msg.take()},
+                              Msg::kBcCandidates, "bc.forward", dist, d);
           ++steps;
         }
         if (next.empty()) {
           step_seconds().observe(step_timer.seconds());
           break;
         }
-        std::sort(next.begin(), next.end());
         values.resize(next.size());
         {
           GCT_SPAN("dist.bc.exchange");
@@ -586,7 +592,7 @@ std::vector<double> Coordinator::betweenness(std::span<const vid> sources) {
           ++steps;
         }
         obs::add_work(static_cast<std::int64_t>(next.size()), 0);
-        sigma_prev = values;
+        sigma_prev.swap(values);
         levels.push_back(std::move(next));
         step_seconds().observe(step_timer.seconds());
       }
@@ -595,12 +601,14 @@ std::vector<double> Coordinator::betweenness(std::span<const vid> sources) {
     // Backward, deepest level first: broadcast the coefficients one level
     // deeper (empty at the deepest level) and collect this level's
     // coefficient slices. Workers fold dependency deltas into their owned
-    // score blocks as they go.
+    // score blocks as they go. The sweep stops at level 1: level 0 is the
+    // source alone, whose score is skipped and whose coefficient nothing
+    // reads.
     {
       GCT_SPAN("dist.bc.backward");
       std::vector<double> coef_below;
       for (std::int64_t d = static_cast<std::int64_t>(levels.size()) - 1;
-           d >= 0; --d) {
+           d >= 1; --d) {
         Timer step_timer;
         const std::vector<vid>& f = levels[static_cast<std::size_t>(d)];
         values.resize(f.size());

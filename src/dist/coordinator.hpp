@@ -37,9 +37,9 @@
 /// outboxes and a poll() loop drives every socket at once, merging each
 /// worker's reply the moment it completes — so one worker's compute
 /// overlaps another's transfer, and the coordinator never blocks on a
-/// send. All merge callbacks are order-independent (first-assignment +
-/// sort, monotone min, or disjoint block copies), so results do not depend
-/// on the order replies arrive in.
+/// send. All merge callbacks are order-independent (first assignment,
+/// then ascending order; monotone min; or disjoint block copies), so
+/// results do not depend on the order replies arrive in.
 ///
 /// ## Failure semantics
 ///
@@ -147,6 +147,14 @@ class Coordinator {
   void exchange(Msg type, const std::vector<std::string>& payloads,
                 Msg expect, const char* what,
                 const std::function<void(int, std::string&)>& on_reply);
+  /// One frontier superstep: exchange `payloads` as `type` and merge the
+  /// workers' `expect` candidate replies into the level at depth `d`. A
+  /// candidate joins the first time it is proposed (its `dist` becomes
+  /// d); the level is returned in ascending vertex order.
+  std::vector<vid> expand_level(Msg type,
+                                const std::vector<std::string>& payloads,
+                                Msg expect, const char* what,
+                                std::vector<vid>& dist, vid d);
   /// Worker w's owned slice [offset, offset+len) of a sorted vertex list.
   std::pair<std::int64_t, std::int64_t> owned_span(
       const std::vector<vid>& sorted, int w) const;

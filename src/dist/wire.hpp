@@ -5,7 +5,7 @@
 /// serialization, and a blocking framed-socket connection.
 ///
 /// Every message is one binary frame (util/framing: 24-byte header with
-/// magic, version, type, payload length, and an FNV-1a-64 payload
+/// magic, version, type, payload length, and a word-wise 64-bit payload
 /// checksum). Payloads are little-endian scalar/array encodings written by
 /// WireWriter and read back by WireReader with bounds-checked cursors — a
 /// truncated or corrupt payload throws, it never reads past the buffer.

@@ -276,8 +276,8 @@ void WorkerServer::expand_owned_rows(const Slot& s,
   // Parallel expansion: per-thread candidate lists, bitmap dedup with
   // set_atomic. Two threads racing on the same neighbor may both emit it
   // (test-then-set is not atomic as a pair) — benign, the coordinator
-  // dedups against its global distance array and sorts the merged
-  // frontier, so the resulting levels are identical to the serial path's.
+  // dedups against its global distance array and puts the merged frontier
+  // in ascending order, so the levels are identical to the serial path's.
   std::vector<std::vector<vid>> per_thread(
       static_cast<std::size_t>(opts_.threads));
 #pragma omp parallel num_threads(opts_.threads)
@@ -437,8 +437,11 @@ void WorkerServer::handle_pr_step(WireReader& r, WireWriter& reply) {
 //   per level d = 1, 2, ...:
 //     kBcForward {d, sigma(F_{d-1})}   -> kBcCandidates {proposals}
 //     kBcSigma   {d, F_d}              -> kBcSigmaBlock {sigma, owned slice}
-//   per level d = D, ..., 0:
+//   per level d = D, ..., 1:
 //     kBcBackward {d, coef(F_{d+1})}   -> kBcCoefBlock  {coef, owned slice}
+//
+// There is no level-0 backward step: F_0 is the source alone, whose score
+// is skipped and whose coefficient nothing reads.
 //
 // Every sum runs through the canonical 4-lane rows of algs/bc_accum.hpp
 // over each vertex's FULL adjacency row (targets are global ids), with the
@@ -543,7 +546,7 @@ void WorkerServer::handle_bc_backward(WireReader& r, WireWriter& reply) {
   const auto d = static_cast<std::int64_t>(r.u64());
   r.f64_vec(scratch_f64_);
   const auto num_levels = static_cast<std::int64_t>(bc_levels_.size());
-  GCT_CHECK(d >= 0 && d < num_levels,
+  GCT_CHECK(d >= 1 && d < num_levels,
             "dist worker: bc-backward level out of range");
   const bool deepest = d + 1 == num_levels;
   DistCoef* dc = bc_dc_.data();
@@ -565,7 +568,6 @@ void WorkerServer::handle_bc_backward(WireReader& r, WireWriter& reply) {
   const auto count = static_cast<std::int64_t>(slice.size());
   bc_out_.resize(slice.size());
   const double* sg = bc_sigma_.data();
-  const vid source = bc_source_;
   const std::int64_t deeper = d + 1;
   stealing_for(
       wq_, 0, count, kLevelChunk, kLevelSerialBelow, opts_.threads,
@@ -587,10 +589,9 @@ void WorkerServer::handle_bc_backward(WireReader& r, WireWriter& reply) {
             const double dv = sv * acc;
             coef = (1.0 + dv) / sv;
             // Accumulated across sources in coordinator order — the same
-            // per-vertex add order as fine mode's serial source loop.
-            if (v != source) {
-              bc_score_[static_cast<std::size_t>(v - s.begin)] += dv;
-            }
+            // per-vertex add order as fine mode's serial source loop. No
+            // vertex at depth d >= 1 is the source.
+            bc_score_[static_cast<std::size_t>(v - s.begin)] += dv;
           }
           dc[v].coef = coef;
           bc_out_[static_cast<std::size_t>(i)] = coef;

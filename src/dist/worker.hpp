@@ -111,7 +111,7 @@ class WorkerServer {
   /// Expand owned frontier rows, proposing every not-yet-proposed
   /// neighbor. Shared by BFS and the betweenness forward sweep: serial at
   /// threads=1 (deterministic candidate order), per-thread candidate lists
-  /// above that (the coordinator dedups and sorts either way).
+  /// above that (the coordinator dedups and orders either way).
   void expand_owned_rows(const Slot& s, std::span<const std::int64_t> owned,
                          std::vector<vid>& candidates);
 

@@ -11,35 +11,137 @@
 
 namespace graphct {
 
+namespace {
+
+/// The arcs u->v of `g` for which keep(u, v) holds, as in-rows: row v lists
+/// every such u with its multiplicity. One counting pass, a prefix sum and
+/// one scatter in source order, so every row comes out ascending with no
+/// sort.
+template <typename Keep>
+std::pair<std::vector<eid>, std::vector<vid>> transpose(const CsrGraph& g,
+                                                        Keep keep) {
+  const vid n = g.num_vertices();
+  std::vector<eid> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (vid u = 0; u < n; ++u) {
+    for (const vid v : g.neighbors(u)) {
+      if (keep(u, v)) ++offsets[static_cast<std::size_t>(v)];
+    }
+  }
+  offsets.back() = exclusive_scan(
+      std::span<const eid>(offsets.data(), static_cast<std::size_t>(n)),
+      std::span<eid>(offsets.data(), static_cast<std::size_t>(n)));
+  std::vector<eid> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<vid> adjacency(static_cast<std::size_t>(offsets.back()));
+  for (vid u = 0; u < n; ++u) {
+    for (const vid v : g.neighbors(u)) {
+      if (keep(u, v)) {
+        adjacency[static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(v)]++)] = u;
+      }
+    }
+  }
+  return {std::move(offsets), std::move(adjacency)};
+}
+
+/// The ascending union of two ascending ranges, each value once. Writes it
+/// to `out` unless null; returns its length.
+eid merge_unique(std::span<const vid> a, std::span<const vid> b, vid* out) {
+  eid k = 0;
+  vid last = kNoVertex;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    const vid x =
+        j == b.size() || (i < a.size() && a[i] <= b[j]) ? a[i++] : b[j++];
+    if (x != last) {
+      if (out != nullptr) out[k] = x;
+      ++k;
+      last = x;
+    }
+  }
+  return k;
+}
+
+}  // namespace
+
 CsrGraph reverse(const CsrGraph& g) {
   if (!g.directed()) return g;
+  auto [offsets, adjacency] = transpose(g, [](vid, vid) { return true; });
   const vid n = g.num_vertices();
-  EdgeList rev(n);
-  rev.reserve(static_cast<std::size_t>(g.num_adjacency_entries()));
-  for (vid u = 0; u < n; ++u) {
-    for (vid v : g.neighbors(u)) rev.add(v, u);
+  vid self_loops = 0;
+#pragma omp parallel for reduction(+ : self_loops) schedule(dynamic, 256)
+  for (vid v = 0; v < n; ++v) {
+    for (eid i = offsets[static_cast<std::size_t>(v)];
+         i < offsets[static_cast<std::size_t>(v) + 1]; ++i) {
+      self_loops += adjacency[static_cast<std::size_t>(i)] == v ? 1 : 0;
+    }
   }
-  BuildOptions opts;
-  opts.symmetrize = false;
-  opts.dedup = false;
-  opts.sort_adjacency = true;
-  return build_csr(rev, opts);
+  return CsrGraph(std::move(offsets), std::move(adjacency), /*directed=*/true,
+                  self_loops, /*sorted_adjacency=*/true);
 }
 
 CsrGraph to_undirected(const CsrGraph& g) {
+  // Each arc of a directed graph, and each edge of an undirected one once
+  // (from its lower endpoint's row), joins both endpoints' rows: row u is
+  // the ascending union of u's kept out-row and its in-row, each neighbor
+  // once, a self-loop included once.
+  const bool directed = g.directed();
+  const auto keep = [directed](vid u, vid v) { return directed || u <= v; };
+  const auto [in_offsets, in_adjacency] = transpose(g, keep);
   const vid n = g.num_vertices();
-  EdgeList el(n);
-  el.reserve(static_cast<std::size_t>(g.num_adjacency_entries()));
-  for (vid u = 0; u < n; ++u) {
-    for (vid v : g.neighbors(u)) {
-      if (g.directed() || u <= v) el.add(u, v);
+
+  // Both passes merge the same rows. A sorted out-row is read in place (an
+  // undirected one from its first entry >= u); an unsorted one is copied
+  // into per-thread scratch and sorted, in each pass.
+  const bool sorted = g.sorted_adjacency();
+  const auto merge_row = [&](vid u, std::vector<vid>& scratch, vid* out) {
+    std::span<const vid> row = g.neighbors(u);
+    if (!sorted) {
+      scratch.clear();
+      for (const vid v : row) {
+        if (keep(u, v)) scratch.push_back(v);
+      }
+      std::sort(scratch.begin(), scratch.end());
+      row = scratch;
+    } else if (!directed) {
+      row = row.subspan(static_cast<std::size_t>(
+          std::lower_bound(row.begin(), row.end(), u) - row.begin()));
+    }
+    const eid lo = in_offsets[static_cast<std::size_t>(u)];
+    const eid hi = in_offsets[static_cast<std::size_t>(u) + 1];
+    return merge_unique(row,
+                        std::span<const vid>(in_adjacency.data() + lo,
+                                             static_cast<std::size_t>(hi - lo)),
+                        out);
+  };
+
+  std::vector<eid> offsets(static_cast<std::size_t>(n) + 1, 0);
+#pragma omp parallel
+  {
+    std::vector<vid> scratch;
+#pragma omp for schedule(dynamic, 256)
+    for (vid u = 0; u < n; ++u) {
+      offsets[static_cast<std::size_t>(u)] = merge_row(u, scratch, nullptr);
     }
   }
-  BuildOptions opts;
-  opts.symmetrize = true;
-  opts.dedup = true;
-  opts.sort_adjacency = true;
-  return build_csr(el, opts);
+  offsets.back() = exclusive_scan(
+      std::span<const eid>(offsets.data(), static_cast<std::size_t>(n)),
+      std::span<eid>(offsets.data(), static_cast<std::size_t>(n)));
+
+  std::vector<vid> adjacency(static_cast<std::size_t>(offsets.back()));
+  vid self_loops = 0;
+#pragma omp parallel reduction(+ : self_loops)
+  {
+    std::vector<vid> scratch;
+#pragma omp for schedule(dynamic, 256)
+    for (vid u = 0; u < n; ++u) {
+      vid* const row = adjacency.data() + offsets[static_cast<std::size_t>(u)];
+      const eid len = merge_row(u, scratch, row);
+      self_loops += std::binary_search(row, row + len, u) ? 1 : 0;
+    }
+  }
+  return CsrGraph(std::move(offsets), std::move(adjacency),
+                  /*directed=*/false, self_loops, /*sorted_adjacency=*/true);
 }
 
 Subgraph induced_subgraph(const CsrGraph& g, std::span<const char> mask) {

@@ -158,7 +158,7 @@ std::string encode_frame(std::uint8_t type, std::string_view payload) {
   FrameHeader h;
   h.type = type;
   h.payload_len = payload.size();
-  h.checksum = fnv1a64(payload.data(), payload.size());
+  h.checksum = word_checksum64(payload.data(), payload.size());
   std::string out;
   out.resize(kFrameHeaderBytes + payload.size());
   encode_frame_header(h, reinterpret_cast<unsigned char*>(out.data()));
@@ -171,7 +171,7 @@ std::string encode_frame(std::uint8_t type, std::string_view payload) {
 
 bool payload_matches(const FrameHeader& h, std::string_view payload) {
   return h.payload_len == payload.size() &&
-         h.checksum == fnv1a64(payload.data(), payload.size());
+         h.checksum == word_checksum64(payload.data(), payload.size());
 }
 
 }  // namespace graphct::framing

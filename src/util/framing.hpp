@@ -11,13 +11,14 @@
 ///    exactly n payload lines. Extracted from server::Session so the server
 ///    and any future client render/parse through the same code.
 ///
-///  * **Binary frames** — the length-prefixed, FNV-1a-checksummed frames
-///    the dist substrate (src/dist/, docs/DISTRIBUTED.md) exchanges between
-///    the coordinator and worker processes. A frame is a fixed 24-byte
-///    header (magic, version, message type, payload length, payload
-///    checksum) followed by the payload bytes. The checksum reuses
-///    util/checksum.hpp's FNV-1a-64 — the same primitive that guards the
-///    binary graph and packed storage formats.
+///  * **Binary frames** — the length-prefixed, checksummed frames the dist
+///    substrate (src/dist/, docs/DISTRIBUTED.md) exchanges between the
+///    coordinator and worker processes. A frame is a fixed 24-byte header
+///    (magic, version, message type, payload length, payload checksum)
+///    followed by the payload bytes. The checksum is util/checksum.hpp's
+///    word_checksum64 (four lanes over 8-byte words), not the byte-serial
+///    FNV-1a-64 that guards the binary graph and packed storage files: the
+///    coordinator hashes every frame byte on its serial path.
 
 #include <cstddef>
 #include <cstdint>
@@ -67,7 +68,10 @@ bool parse_text_header(std::string_view line, TextHeader& out);
 // Binary frame codec (dist wire protocol).
 
 inline constexpr std::uint32_t kFrameMagic = 0x46544347u;  // "GCTF", LE
-inline constexpr std::uint8_t kFrameVersion = 1;
+/// Version 2 switched the payload checksum from FNV-1a-64 to
+/// word_checksum64, so a peer of the other version fails on the header
+/// ("unsupported frame version"), not on the first checksum.
+inline constexpr std::uint8_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 
 /// Refuse absurd lengths before allocating: a corrupt header must not make
@@ -75,7 +79,8 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// message (the largest is a full rank/contrib vector).
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
-/// Decoded frame header. `checksum` is FNV-1a-64 over the payload bytes.
+/// Decoded frame header. `checksum` is word_checksum64 over the payload
+/// bytes.
 struct FrameHeader {
   std::uint8_t version = kFrameVersion;
   std::uint8_t type = 0;

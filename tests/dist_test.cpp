@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -23,6 +24,7 @@
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/work_queue.hpp"
 
 namespace graphct::dist {
 namespace {
@@ -371,11 +373,57 @@ TEST(DistBcTest, BitIdenticalInForkMode) {
   }
 }
 
+/// The widest owned frontier slice dist bc hands one of `workers` workers
+/// over `opts`' sources on `g`. A worker expands and pulls a slice in
+/// parallel only from kLevelSerialBelow vertices up.
+std::int64_t widest_owned_slice(const CsrGraph& g, int workers,
+                                const BetweennessOptions& opts) {
+  const Partition part = partition_graph(g, workers);
+  const auto nb = static_cast<std::size_t>(workers);
+  std::int64_t widest = 0;
+  for (const vid s :
+       sample_sources(g.num_vertices(), opts.num_sources, opts.seed)) {
+    const BfsResult r = bfs(g, s);
+    for (std::size_t d = 0; d + 1 < r.level_offsets.size(); ++d) {
+      std::vector<std::int64_t> owned(nb, 0);
+      for (eid i = r.level_offsets[d]; i < r.level_offsets[d + 1]; ++i) {
+        ++owned[static_cast<std::size_t>(
+            part.owner(r.order[static_cast<std::size_t>(i)]))];
+      }
+      for (const std::int64_t c : owned) widest = std::max(widest, c);
+    }
+  }
+  return widest;
+}
+
 TEST(DistBcTest, BitIdenticalWithMultithreadedWorkers) {
   // The fork-mode half is DistForkFirstTest below: it must fork before
-  // this process runs any OpenMP region.
-  const CsrGraph g = test_rmat(10, false);
-  expect_bc_bit_parity(g, 2, /*fork_mode=*/false, /*worker_threads=*/2);
+  // this process runs any OpenMP region. The input is large enough that
+  // the workers' parallel expansion and pulls run.
+  const CsrGraph g = test_rmat(12, false);
+  const BetweennessOptions opts{.num_sources = 24, .seed = 5};
+  ASSERT_GE(widest_owned_slice(g, 2, opts), kLevelSerialBelow);
+  expect_bc_bit_parity(g, 2, /*fork_mode=*/false, /*worker_threads=*/2, opts);
+}
+
+TEST(DistBcTest, StepsAreThreePerLevelPlusTwoPerSource) {
+  // A source of BFS depth L costs 3L + 2 supersteps: a reset, two per
+  // forward level plus the closing expand, and one backward step per level
+  // below the source's own. A run adds kBcStart and the gather.
+  const auto steps = [](const CsrGraph& g, const std::vector<vid>& sources) {
+    std::int64_t out = 0;
+    with_coordinator(g, 2, [&](Coordinator& c) {
+      c.betweenness(sources);
+      out = c.last_kernel_stats().steps;
+    });
+    return out;
+  };
+  EXPECT_EQ(steps(path_graph(6), {0}), 19);
+  EXPECT_EQ(steps(star_graph(8), {0}), 7);
+  EXPECT_EQ(steps(star_graph(8), {1}), 10);
+  EXPECT_EQ(steps(star_graph(8), {0, 1}), 15);
+  // An isolated source (L = 0) has no backward step at all.
+  EXPECT_EQ(steps(make_undirected(3, {{0, 1}}), {2}), 4);
 }
 
 TEST(DistBcTest, BitIdenticalToHybridSweepOnShapes) {
@@ -509,9 +557,9 @@ TEST(DistFailureTest, DeadWorkerMidBackwardSweepCancelsExactlyThatJob) {
   const std::vector<vid> sources{0, 3, 5};
   // Derive the injection point from a healthy run: every kernel message is
   // one frame per worker, so per-worker kernel traffic is uniform. The
-  // final two frames a worker receives are the last source's deepest-to-
-  // shallowest kBcBackward(d=0) and then kBcScores — dying one frame
-  // before the end lands mid-backward-sweep.
+  // final two frames a worker receives are the last source's shallowest
+  // kBcBackward (d=1; the sweep has no level-0 step) and then kBcScores —
+  // dying one frame before the end lands mid-backward-sweep.
   std::int64_t per_worker = 0;
   {
     LocalWorkerSetOptions hopts;
@@ -689,8 +737,10 @@ TEST(DistForkFirstTest, BitIdenticalWithMultithreadedForkWorkers) {
   LocalWorkerSet set(wopts);
   ASSERT_TRUE(set.fork_mode());
   ASSERT_EQ(set.ports().size(), 2u);
-  expect_bc_bit_parity_on(set, test_rmat(10, false),
-                          {.num_sources = 24, .seed = 5});
+  const CsrGraph g = test_rmat(12, false);
+  const BetweennessOptions opts{.num_sources = 24, .seed = 5};
+  ASSERT_GE(widest_owned_slice(g, 2, opts), kLevelSerialBelow);
+  expect_bc_bit_parity_on(set, g, opts);
 }
 
 // -------------------------------------------------------------------- wire

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 
@@ -227,16 +228,122 @@ TEST(FrameTest, DeterministicFuzzRoundTrip) {
   }
 }
 
-TEST(FrameTest, ChecksumIsFnv1a64) {
-  // The frame checksum is the same primitive guarding the binary graph
-  // format; a frame written by one subsystem verifies with the other's.
-  const std::string payload = "cross-check";
-  const std::string frame = encode_frame(2, payload);
-  FrameHeader h;
-  ASSERT_EQ(decode_frame_header(
-                reinterpret_cast<const unsigned char*>(frame.data()), h),
-            HeaderStatus::kOk);
-  EXPECT_EQ(h.checksum, fnv1a64(payload.data(), payload.size()));
+TEST(FrameTest, ChecksumMatchesRecordedValues) {
+  // The frame checksum is word_checksum64 (four lanes over little-endian
+  // 8-byte words), not the FNV-1a-64 of the file trailers. These values pin
+  // the function across the empty payload, a lone tail byte, words plus a
+  // tail, one exact word, one exact round of four lanes, and 81 bytes (two
+  // rounds, two more words and a tail). A peer hashing any other way fails
+  // every frame, so a change here needs a new kFrameVersion.
+  std::string ramp;
+  for (int i = 0; i < 81; ++i) ramp.push_back(static_cast<char>(i * 37 + 1));
+  const struct {
+    std::string payload;
+    std::uint64_t checksum;
+  } cases[] = {
+      {"", 0x320f013037dbc313ull},
+      {"x", 0x5b412b107f34abddull},
+      {"cross-check", 0x2647695d144ebc17ull},
+      {"abcdefgh", 0xae150955f17e91d6ull},
+      {std::string(32, '\0'), 0x0a4c4115b9520b9bull},
+      {ramp, 0x0c44244c6332e286ull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(word_checksum64(c.payload.data(), c.payload.size()), c.checksum)
+        << c.payload.size() << " bytes";
+    const std::string frame = encode_frame(2, c.payload);
+    FrameHeader h;
+    ASSERT_EQ(decode_frame_header(
+                  reinterpret_cast<const unsigned char*>(frame.data()), h),
+              HeaderStatus::kOk);
+    EXPECT_EQ(h.checksum, c.checksum) << c.payload.size() << " bytes";
+  }
+}
+
+/// `len` pseudo-random bytes (NUL bytes included).
+std::string random_payload(std::mt19937_64& rng, std::size_t len) {
+  std::string p(len, '\0');
+  for (auto& c : p) c = static_cast<char>(rng());
+  return p;
+}
+
+TEST(FrameTest, EverySingleBitFlipFailsTheChecksum) {
+  // Lengths 0-80 put the flip in every lane, in words before and after a
+  // full round of four, and in every position of a 1-7 byte tail.
+  std::mt19937_64 rng(2026);
+  for (std::size_t len = 0; len <= 80; ++len) {
+    const std::string payload = random_payload(rng, len);
+    const std::uint64_t sum = word_checksum64(payload.data(), len);
+    for (std::size_t bit = 0; bit < 8 * len; ++bit) {
+      std::string flipped = payload;
+      flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+      ASSERT_NE(word_checksum64(flipped.data(), len), sum)
+          << "len " << len << " bit " << bit;
+    }
+  }
+}
+
+TEST(FrameTest, SwappedWordsFailTheChecksum) {
+  // Swapping two different words, in one lane (i and i + 4) or across
+  // lanes, with and without a tail behind them.
+  std::mt19937_64 rng(7);
+  for (const std::size_t len : {16u, 40u, 64u, 75u}) {
+    const std::string payload = random_payload(rng, len);
+    const std::uint64_t sum = word_checksum64(payload.data(), len);
+    for (std::size_t i = 0; i + 8 <= len; i += 8) {
+      for (std::size_t j = i + 8; j + 8 <= len; j += 8) {
+        std::string swapped = payload;
+        std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(i),
+                         swapped.begin() + static_cast<std::ptrdiff_t>(i + 8),
+                         swapped.begin() + static_cast<std::ptrdiff_t>(j));
+        ASSERT_NE(swapped, payload);
+        EXPECT_NE(word_checksum64(swapped.data(), len), sum)
+            << "len " << len << " words " << i / 8 << ", " << j / 8;
+      }
+    }
+  }
+}
+
+TEST(FrameTest, TruncationAndExtensionFailTheChecksum) {
+  // The byte count is folded in, so even a zero byte appended inside the
+  // zero-padded tail word changes the checksum, not only the length check.
+  std::mt19937_64 rng(11);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const std::string payload = random_payload(rng, len);
+    const std::string frame = encode_frame(4, payload);
+    FrameHeader h;
+    ASSERT_EQ(decode_frame_header(
+                  reinterpret_cast<const unsigned char*>(frame.data()), h),
+              HeaderStatus::kOk);
+    ASSERT_TRUE(payload_matches(h, payload));
+    for (const std::string& other :
+         {payload + std::string(1, '\0'), payload + std::string(8, '\0'),
+          payload + "x"}) {
+      EXPECT_FALSE(payload_matches(h, other)) << "len " << len;
+      EXPECT_NE(word_checksum64(other.data(), other.size()), h.checksum)
+          << "len " << len << " extended to " << other.size();
+    }
+    for (std::size_t cut = 1; cut <= std::min<std::size_t>(len, 9); ++cut) {
+      const std::string shorter = payload.substr(0, len - cut);
+      EXPECT_FALSE(payload_matches(h, shorter)) << "len " << len;
+      EXPECT_NE(word_checksum64(shorter.data(), shorter.size()), h.checksum)
+          << "len " << len << " cut to " << shorter.size();
+    }
+  }
+}
+
+TEST(FrameTest, VersionOneHeaderIsBadVersion) {
+  // Version 1 frames carried FNV-1a-64. A peer of that version must fail
+  // on the header, not on its first checksum.
+  ASSERT_EQ(kFrameVersion, 2);
+  FrameHeader old;
+  old.version = 1;
+  old.type = 1;
+  unsigned char buf[kFrameHeaderBytes];
+  encode_frame_header(old, buf);
+  FrameHeader out;
+  EXPECT_EQ(decode_frame_header(buf, out), HeaderStatus::kBadVersion);
+  EXPECT_EQ(out.version, 1);
 }
 
 }  // namespace

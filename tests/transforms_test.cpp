@@ -42,6 +42,87 @@ TEST(ToUndirectedTest, PreservesSelfLoops) {
   EXPECT_EQ(u.num_edges(), 2);
 }
 
+// reverse and to_undirected as they were before they transposed rows
+// directly: stage every arc in an EdgeList and rebuild with build_csr. The
+// references the transposes must equal bit for bit.
+CsrGraph staged_reverse(const CsrGraph& g) {
+  if (!g.directed()) return g;
+  const vid n = g.num_vertices();
+  EdgeList rev(n);
+  for (vid u = 0; u < n; ++u) {
+    for (vid v : g.neighbors(u)) rev.add(v, u);
+  }
+  BuildOptions opts;
+  opts.symmetrize = false;
+  opts.dedup = false;
+  opts.sort_adjacency = true;
+  return build_csr(rev, opts);
+}
+
+CsrGraph staged_to_undirected(const CsrGraph& g) {
+  const vid n = g.num_vertices();
+  EdgeList el(n);
+  for (vid u = 0; u < n; ++u) {
+    for (vid v : g.neighbors(u)) {
+      if (g.directed() || u <= v) el.add(u, v);
+    }
+  }
+  BuildOptions opts;
+  opts.symmetrize = true;
+  opts.dedup = true;
+  opts.sort_adjacency = true;
+  return build_csr(el, opts);
+}
+
+/// Random arcs with self-loops and repeats on up to `max_n` vertices (the
+/// count can exceed every endpoint, leaving isolated vertices at the end),
+/// built every way a CsrGraph can hold them: directed or undirected, rows
+/// sorted or not, repeats kept or merged.
+CsrGraph random_csr(Rng& rng, int trial, std::uint64_t max_n) {
+  const vid n = 1 + static_cast<vid>(rng.next_below(max_n));
+  EdgeList el(n);
+  const auto hi = 1 + rng.next_below(static_cast<std::uint64_t>(n));
+  const auto m = rng.next_below(4 * hi);
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const auto u = static_cast<vid>(rng.next_below(hi));
+    const auto v =
+        rng.next_bool(0.1) ? u : static_cast<vid>(rng.next_below(hi));
+    el.add(u, v);
+    if (rng.next_bool(0.2)) el.add(u, v);  // a repeated entry
+  }
+  BuildOptions b;
+  b.symmetrize = trial % 2 == 0;
+  b.sort_adjacency = trial % 4 < 2;
+  b.dedup = b.sort_adjacency && trial % 8 < 4;
+  CsrGraph g = build_csr(el, b);
+  EXPECT_EQ(g.sorted_adjacency(), b.sort_adjacency);
+  return g;
+}
+
+TEST(ReverseTest, TransposeEqualsTheStagedRebuild) {
+  Rng rng(77);
+  for (int trial = 0; trial < 48; ++trial) {
+    const CsrGraph g = random_csr(rng, trial, trial < 40 ? 40 : 2000);
+    EXPECT_EQ(reverse(g), staged_reverse(g)) << "trial " << trial;
+  }
+  const CsrGraph empty = make_directed(0, {});
+  EXPECT_EQ(reverse(empty), staged_reverse(empty));
+}
+
+TEST(ToUndirectedTest, MergeEqualsTheStagedRebuild) {
+  // Equality covers the rows, num_self_loops() and sorted_adjacency().
+  Rng rng(78);
+  for (int trial = 0; trial < 48; ++trial) {
+    const CsrGraph g = random_csr(rng, trial, trial < 40 ? 40 : 2000);
+    const CsrGraph got = to_undirected(g);
+    EXPECT_EQ(got, staged_to_undirected(g)) << "trial " << trial;
+    EXPECT_FALSE(got.directed());
+    EXPECT_TRUE(got.sorted_adjacency());
+  }
+  const CsrGraph empty = make_directed(0, {});
+  EXPECT_EQ(to_undirected(empty), staged_to_undirected(empty));
+}
+
 TEST(InducedSubgraphTest, KeepsInternalEdgesOnly) {
   const auto g = make_undirected(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
   std::vector<char> mask{1, 1, 1, 0, 0};
@@ -111,29 +192,11 @@ Subgraph staged_induced_subgraph(const CsrGraph& g,
 }
 
 TEST(InducedSubgraphTest, DirectCutEqualsTheStagedRebuild) {
-  // Random arcs with self-loops and repeats, built every way a CsrGraph can
-  // hold them: directed or undirected, rows sorted or not, repeats kept or
-  // merged. Masks run from empty to full.
+  // Masks run from empty to full.
   Rng rng(2024);
   for (int trial = 0; trial < 24; ++trial) {
-    const vid n = 1 + static_cast<vid>(rng.next_below(40));
-    EdgeList el(n);
-    const auto m = rng.next_below(static_cast<std::uint64_t>(4 * n));
-    for (std::uint64_t i = 0; i < m; ++i) {
-      const vid u = static_cast<vid>(rng.next_below(static_cast<std::uint64_t>(n)));
-      const vid v = rng.next_bool(0.1)
-                        ? u
-                        : static_cast<vid>(
-                              rng.next_below(static_cast<std::uint64_t>(n)));
-      el.add(u, v);
-      if (rng.next_bool(0.2)) el.add(u, v);  // a repeated entry
-    }
-    BuildOptions b;
-    b.symmetrize = trial % 2 == 0;
-    b.sort_adjacency = trial % 4 < 2;
-    b.dedup = b.sort_adjacency && trial % 8 < 4;
-    const CsrGraph g = build_csr(el, b);
-    ASSERT_EQ(g.sorted_adjacency(), b.sort_adjacency);
+    const CsrGraph g = random_csr(rng, trial, 40);
+    const vid n = g.num_vertices();
     for (const double keep : {0.0, 0.3, 0.7, 1.0}) {
       std::vector<char> mask(static_cast<std::size_t>(n));
       for (auto& c : mask) c = rng.next_bool(keep) ? 1 : 0;
