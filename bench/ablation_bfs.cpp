@@ -12,7 +12,6 @@
 #include "algs/bfs.hpp"
 #include "gen/rmat.hpp"
 #include "obs/trace.hpp"
-#include "graph/transforms.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -78,22 +77,6 @@ int main(int argc, char** argv) {
                         "common case on scale-free graphs with tiny "
                         "diameters)\n",
                         td_time / dt);
-    }
-
-    // Second ablation: degree-ordered relabeling. Hubs packed first improve
-    // cache locality for every CSR sweep on commodity CPUs (the cache-less
-    // XMT hashed addresses on purpose; here locality pays).
-    {
-      const auto rl = relabel_by_degree(g);
-      const double rt = obs::timed("bench.bfs_relabeled", [&] {
-        for (vid s : sources) {
-          (void)bfs(rl.graph, rl.graph.num_vertices() > s ? s : 0)
-              .num_reached();
-        }
-      });
-      std::cout << strf("\ndegree-relabeled top-down BFS: %s total "
-                        "(%.2fx vs original labels)\n",
-                        format_duration(rt).c_str(), td_time / rt);
     }
     return 0;
   } catch (const std::exception& e) {

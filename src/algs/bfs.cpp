@@ -307,6 +307,15 @@ void expand_bottom_up_sigma(const Rows& in, vid bound,
       });
 }
 
+// Direction-optimizing switch thresholds: a search goes bottom-up when the
+// frontier's edge count exceeds (unexplored edges)/alpha, and back top-down
+// when the frontier shrinks below n/beta vertices. Plain BFS uses 14/24;
+// the fused sigma sweep goes bottom-up later (see bfs.hpp for why).
+constexpr double kBfsAlpha = 14.0;
+constexpr double kBfsBeta = 24.0;
+constexpr double kSweepAlpha = 28.0;
+constexpr double kSweepBeta = 24.0;
+
 // The fused sweep over out-rows `g` and in-rows `in`, discovering vertices
 // below `bound` only; the direction switch sees `bound_entries` (the
 // adjacency entries of those vertices' rows) as the graph's size.
@@ -314,10 +323,6 @@ template <typename Rows>
 void forward_sweep(const Rows& g, const Rows& in, vid bound,
                    eid bound_entries, vid source, BfsResult& r,
                    std::vector<double>& sigma) {
-  // Hybrid switch thresholds (see bfs.hpp for why they differ from plain
-  // BFS's 14/24).
-  constexpr double kAlpha = 28.0;
-  constexpr double kBeta = 24.0;
   const vid n = g.num_vertices();
   GCT_CHECK(source >= 0 && source < n, "bc_forward_sweep: source out of range");
   GCT_CHECK(static_cast<vid>(sigma.size()) >= n,
@@ -347,10 +352,10 @@ void forward_sweep(const Rows& g, const Rows& in, vid bound,
 
     const eid remaining_edges = bound_entries - frontier_edges;
     if (!bottom_up && static_cast<double>(frontier_edges) >
-                          static_cast<double>(remaining_edges) / kAlpha) {
+                          static_cast<double>(remaining_edges) / kSweepAlpha) {
       bottom_up = true;
     } else if (bottom_up && static_cast<double>(hi - lo) <
-                                static_cast<double>(bound) / kBeta) {
+                                static_cast<double>(bound) / kSweepBeta) {
       bottom_up = false;
     }
 
@@ -465,10 +470,10 @@ void bfs_into(const GraphView& g, vid source, const BfsOptions& opts,
       const eid remaining_edges = total_entries - frontier_edges;
       if (!bottom_up &&
           static_cast<double>(frontier_edges) >
-              static_cast<double>(remaining_edges) / opts.alpha) {
+              static_cast<double>(remaining_edges) / kBfsAlpha) {
         bottom_up = true;
       } else if (bottom_up && static_cast<double>(hi - lo) <
-                                  static_cast<double>(n) / opts.beta) {
+                                  static_cast<double>(n) / kBfsBeta) {
         bottom_up = false;
       }
     }

@@ -20,10 +20,12 @@
 ///  * kTopDown — the classic frontier-expansion search (what GraphCT ran on
 ///    the XMT).
 ///  * kDirectionOptimizing — switches to bottom-up sweeps when the frontier
-///    is a large fraction of the graph (Beamer-style); undirected graphs
-///    only. Closeness and k-betweenness run it by default, and betweenness
-///    runs its fused sigma variant (bc_forward_sweep), which takes the
-///    in-rows as a second argument and so runs on directed graphs too.
+///    is a large fraction of the graph (Beamer-style): bottom-up when the
+///    frontier's edge count exceeds (unexplored edges)/14, back top-down
+///    below n/24 frontier vertices; undirected graphs only. Closeness and
+///    k-betweenness run it by default, and betweenness runs its fused
+///    sigma variant (bc_forward_sweep), which takes the in-rows as a
+///    second argument and so runs on directed graphs too.
 
 #include <cstdint>
 #include <vector>
@@ -49,12 +51,6 @@ struct BfsOptions {
   /// paper's "breadth-first search from a given vertex of a given length"
   /// kernel.
   vid max_depth = kNoVertex;
-
-  /// Direction-optimizing heuristic: go bottom-up when the frontier's edge
-  /// count exceeds (unexplored edges)/alpha; return top-down when the
-  /// frontier shrinks below n/beta vertices.
-  double alpha = 14.0;
-  double beta = 24.0;
 
   /// Emit each BFS level in ascending vertex id so `order` is
   /// schedule-independent. This costs no sort: deterministic levels are

@@ -51,7 +51,7 @@ ClosenessResult closeness_centrality(const GraphView& g,
         });
   }
 
-  if (opts.rescale && result.sources_used < n) {
+  if (result.sources_used < n) {
     GCT_SPAN("closeness.rescale");
     const double scale =
         static_cast<double>(n) / static_cast<double>(result.sources_used);

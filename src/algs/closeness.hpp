@@ -25,14 +25,13 @@ struct ClosenessOptions {
   std::int64_t num_sources = kNoVertex;
 
   std::uint64_t seed = 1;
-
-  /// Scale sampled sums by n/num_sources for magnitude-comparable scores.
-  bool rescale = true;
 };
 
 /// Result of a closeness run.
 struct ClosenessResult {
-  /// Harmonic closeness per vertex: sum of 1/d(pivot, v) over pivots.
+  /// Harmonic closeness per vertex: sum of 1/d(pivot, v) over pivots,
+  /// scaled by n/sources_used when sampled, so magnitudes are comparable
+  /// across sample sizes.
   std::vector<double> score;
   std::int64_t sources_used = 0;
   double seconds = 0.0;

@@ -261,17 +261,6 @@ BetweennessResult betweenness_centrality(const GraphView& g,
           score[static_cast<std::size_t>(lv)];
     }
   }
-
-  if (opts.rescale && result.sources_used > 0 &&
-      result.sources_used < n) {
-    GCT_SPAN("bc.rescale");
-    const double scale = static_cast<double>(n) /
-                         static_cast<double>(result.sources_used);
-#pragma omp parallel for schedule(static)
-    for (vid v = 0; v < n; ++v) {
-      result.score[static_cast<std::size_t>(v)] *= scale;
-    }
-  }
   result.seconds = scope.seconds();
   return result;
 }

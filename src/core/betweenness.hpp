@@ -52,10 +52,6 @@ struct BetweennessOptions {
 
   std::uint64_t seed = 1;
 
-  /// Scale sampled scores by n/num_sources so magnitudes estimate exact BC
-  /// (rankings are unaffected; off by default to match GraphCT's raw sums).
-  bool rescale = false;
-
   /// Cap on the bytes of coarse score buffers held live at once
   /// (default 1 GiB), and on the per-call 32-bit layout the sweeps read
   /// (algs/bc_layout.hpp): folded when that fits (for a packed store,

@@ -62,8 +62,7 @@ struct StructBytes {
 
 std::string bc_key(const char* kernel, const BetweennessOptions& o) {
   return std::string(kernel) + "|sources=" + std::to_string(o.num_sources) +
-         "|seed=" + std::to_string(o.seed) +
-         "|rescale=" + std::to_string(o.rescale);
+         "|seed=" + std::to_string(o.seed);
 }
 
 }  // namespace
@@ -270,13 +269,6 @@ const BetweennessResult& Toolkit::betweenness_dist(
         BetweennessResult result;
         result.score = coord.betweenness(sources);
         result.sources_used = static_cast<std::int64_t>(sources.size());
-        if (opts.rescale && result.sources_used > 0 &&
-            result.sources_used < n) {
-          // Same multiply as the single-process rescale: bit-neutral.
-          const double scale = static_cast<double>(n) /
-                               static_cast<double>(result.sources_used);
-          for (double& s : result.score) s *= scale;
-        }
         result.seconds = timer.seconds();
         return result;
       },
@@ -286,8 +278,7 @@ const BetweennessResult& Toolkit::betweenness_dist(
 const ClosenessResult& Toolkit::closeness(const ClosenessOptions& opts) {
   const std::string key = "closeness|sources=" +
                           std::to_string(opts.num_sources) +
-                          "|seed=" + std::to_string(opts.seed) +
-                          "|rescale=" + std::to_string(opts.rescale);
+                          "|seed=" + std::to_string(opts.seed);
   return *cache_->get_or_compute<ClosenessResult>(
       key, [&] { return closeness_centrality(view(), opts); }, StructBytes{});
 }

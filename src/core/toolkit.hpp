@@ -146,7 +146,7 @@ class Toolkit {
   /// Coreness values (cached).
   const std::vector<std::int64_t>& core_numbers();
 
-  /// Betweenness centrality, cached per (sources, seed, rescale) — a
+  /// Betweenness centrality, cached per (sources, seed) — a
   /// session repeating an earlier query is served the resident result.
   /// Budget and threads pick only the plan, never a score bit, so they are
   /// not in the key; `plan` is the computing run's.

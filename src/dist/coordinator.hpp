@@ -109,7 +109,7 @@ class Coordinator {
 
   /// Distributed Brandes betweenness from the given sources (undirected
   /// graphs only). Sources run in coordinator order and the score blocks
-  /// are gathered once at the end. Returns unrescaled scores, bit-identical
+  /// are gathered once at the end. Returns the raw sums, bit-identical
   /// to the single-process fine plan over the same source list.
   std::vector<double> betweenness(std::span<const vid> sources);
 

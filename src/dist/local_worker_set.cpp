@@ -17,7 +17,6 @@ LocalWorkerSet::LocalWorkerSet(const LocalWorkerSetOptions& opts)
             "dist: a worker set needs at least one worker");
   for (int i = 0; i < opts.num_workers; ++i) {
     WorkerOptions wo;
-    wo.port = 0;  // ephemeral: concurrent sets never collide
     wo.threads = opts.threads;
     if (i == opts.fail_worker) wo.fail_after = opts.fail_after;
     auto server = std::make_unique<WorkerServer>(wo);

@@ -39,14 +39,14 @@ WorkerServer::WorkerServer(const WorkerOptions& opts) : opts_(opts) {
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(opts.port));
+  addr.sin_port = 0;  // ephemeral: concurrent worker sets never collide
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(fd, 1) != 0) {
     const int err = errno;
     ::close(fd);
-    throw Error("dist worker: cannot bind 127.0.0.1:" +
-                std::to_string(opts.port) + ": " + std::strerror(err));
+    throw Error(std::string("dist worker: cannot bind 127.0.0.1: ") +
+                std::strerror(err));
   }
   socklen_t len = sizeof(addr);
   GCT_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,

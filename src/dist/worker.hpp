@@ -4,22 +4,22 @@
 /// The dist substrate's worker: owns one vertex block per graph slot and
 /// serves step RPCs to a single coordinator.
 ///
-/// A WorkerServer binds a loopback listen socket at construction (port 0 =
-/// ephemeral, the default — the chosen port is readable immediately via
-/// port(), which is what lets tests and benches run collision-free), then
-/// serve() accepts exactly one coordinator connection and answers frames
-/// until kShutdown, peer EOF, or an injected failure.
+/// A WorkerServer binds a loopback listen socket on an ephemeral port at
+/// construction (the chosen port is readable immediately via port(), which
+/// is what lets tests and benches run collision-free), then serve()
+/// accepts exactly one coordinator connection and answers frames until
+/// kShutdown, peer EOF, or an injected failure.
 ///
 /// Block-local sweeps run through the same bitmap/work-queue engines as
 /// the single-process kernels, parallelized across
 /// `WorkerOptions::threads` OpenMP threads (default 1 = the exact serial
-/// paths; the knob is surfaced as CLI `worker --threads` and script
-/// `workers <n> ... threads=<k>`). Every floating-point sum a worker
-/// produces is per-vertex exclusive and runs in adjacency order through
-/// the canonical 4-lane rows (algs/bc_accum.hpp), so results are
-/// bit-identical at any thread count. Kernel state (proposal bitmap,
-/// component labels, betweenness mirrors) lives across steps of one kernel
-/// and is reset by the corresponding kStart message.
+/// paths; the knob is surfaced as script `workers <n> threads=<k>`).
+/// Every floating-point sum a worker produces is per-vertex exclusive and
+/// runs in adjacency order through the canonical 4-lane rows
+/// (algs/bc_accum.hpp), so results are bit-identical at any thread count.
+/// Kernel state (proposal bitmap, component labels, betweenness mirrors)
+/// lives across steps of one kernel and is reset by the corresponding
+/// kStart message.
 ///
 /// Failure semantics: a handler exception is reported to the coordinator
 /// as a kError frame (the reply slot for that request) and the worker
@@ -41,8 +41,6 @@
 namespace graphct::dist {
 
 struct WorkerOptions {
-  int port = 0;  ///< listen port; 0 = kernel-assigned ephemeral port
-
   /// OpenMP threads for block-local sweeps (1 = serial, the default so a
   /// one-core host is never oversubscribed by a multi-worker set).
   int threads = 1;
@@ -60,7 +58,7 @@ class WorkerServer {
   WorkerServer(const WorkerServer&) = delete;
   WorkerServer& operator=(const WorkerServer&) = delete;
 
-  /// The bound listen port (resolved even when opts.port was 0).
+  /// The bound (ephemeral) listen port.
   [[nodiscard]] int port() const { return port_; }
 
   /// Accept one coordinator and serve frames until kShutdown, EOF, an

@@ -243,35 +243,6 @@ CsrGraph mutual_subgraph(const CsrGraph& directed) {
   return build_csr(el, opts);
 }
 
-Subgraph relabel_by_degree(const CsrGraph& g) {
-  const vid n = g.num_vertices();
-  std::vector<vid> order(static_cast<std::size_t>(n));
-  for (vid v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
-  std::sort(order.begin(), order.end(), [&](vid a, vid b) {
-    if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
-    return a < b;
-  });
-  std::vector<vid> new_id(static_cast<std::size_t>(n));
-  for (vid i = 0; i < n; ++i) {
-    new_id[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
-  }
-
-  EdgeList el(n);
-  el.reserve(static_cast<std::size_t>(g.num_adjacency_entries()));
-  for (vid u = 0; u < n; ++u) {
-    for (vid v : g.neighbors(u)) {
-      if (!g.directed() && u > v) continue;
-      el.add(new_id[static_cast<std::size_t>(u)],
-             new_id[static_cast<std::size_t>(v)]);
-    }
-  }
-  BuildOptions opts;
-  opts.symmetrize = !g.directed();
-  opts.dedup = false;
-  opts.sort_adjacency = true;
-  return {build_csr(el, opts), std::move(order)};
-}
-
 Subgraph drop_isolated(const CsrGraph& g) {
   const vid n = g.num_vertices();
   std::vector<char> mask(static_cast<std::size_t>(n), 0);

@@ -48,11 +48,4 @@ CsrGraph mutual_subgraph(const CsrGraph& directed);
 /// Remove degree-0 vertices, relabelling survivors densely.
 Subgraph drop_isolated(const CsrGraph& g);
 
-/// Relabel vertices in decreasing degree order (ties by original id).
-/// Scale-free graphs traverse mostly hub adjacencies; packing hubs first
-/// improves cache locality for every CSR sweep — a memory-hierarchy
-/// optimization the cache-less Cray XMT never needed but commodity CPUs
-/// reward. orig_ids maps new ids back to the input's.
-Subgraph relabel_by_degree(const CsrGraph& g);
-
 }  // namespace graphct

@@ -1,12 +1,7 @@
 #include "twitter/conversation.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "algs/connected_components.hpp"
 #include "algs/ranking.hpp"
-#include "algs/scc.hpp"
-#include "util/error.hpp"
 
 namespace graphct::twitter {
 
@@ -61,65 +56,23 @@ SubcommunityResult subcommunity_filter(const MentionGraph& mg) {
   return r;
 }
 
-namespace {
-
-std::vector<RankedUser> to_ranked(const MentionGraph& mg,
-                                  const std::vector<double>& scores,
-                                  std::int64_t count) {
+std::vector<RankedUser> rank_users_by_betweenness(
+    const MentionGraph& mg, std::int64_t count,
+    const graphct::BetweennessOptions& opts) {
+  const CsrGraph und = mg.undirected();
+  const auto bc = graphct::betweenness_centrality(und, opts);
   const auto top = graphct::top_k(
-      std::span<const double>(scores.data(), scores.size()), count);
+      std::span<const double>(bc.score.data(), bc.score.size()), count);
   std::vector<RankedUser> out;
   out.reserve(top.size());
   for (vid v : top) {
     RankedUser u;
     u.vertex = v;
     u.name = mg.users[static_cast<std::size_t>(v)];
-    u.score = scores[static_cast<std::size_t>(v)];
+    u.score = bc.score[static_cast<std::size_t>(v)];
     out.push_back(std::move(u));
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<graphct::Subgraph> scc_conversations(const MentionGraph& mg,
-                                                 std::int64_t min_size) {
-  GCT_CHECK(min_size >= 2, "scc_conversations: min_size must be >= 2");
-  const auto labels = graphct::strongly_connected_components(mg.directed);
-  std::unordered_map<vid, std::int64_t> counts;
-  for (vid l : labels) ++counts[l];
-
-  std::vector<std::pair<vid, std::int64_t>> big;
-  for (const auto& [l, size] : counts) {
-    if (size >= min_size) big.emplace_back(l, size);
-  }
-  std::sort(big.begin(), big.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-
-  std::vector<graphct::Subgraph> out;
-  out.reserve(big.size());
-  for (const auto& [l, size] : big) {
-    out.push_back(graphct::extract_by_label(
-        mg.directed, std::span<const vid>(labels.data(), labels.size()), l));
-  }
-  return out;
-}
-
-std::vector<RankedUser> rank_users_by_betweenness(
-    const MentionGraph& mg, std::int64_t count,
-    const graphct::BetweennessOptions& opts) {
-  const CsrGraph und = mg.undirected();
-  const auto bc = graphct::betweenness_centrality(und, opts);
-  return to_ranked(mg, bc.score, count);
-}
-
-std::vector<RankedUser> rank_users_by_directed_betweenness(
-    const MentionGraph& mg, std::int64_t count,
-    const graphct::BetweennessOptions& opts) {
-  const auto bc = graphct::betweenness_centrality(mg.directed, opts);
-  return to_ranked(mg, bc.score, count);
 }
 
 }  // namespace graphct::twitter

@@ -51,15 +51,6 @@ struct SubcommunityResult {
 /// Run the full §III-C filtering pipeline on a mention graph.
 SubcommunityResult subcommunity_filter(const MentionGraph& mg);
 
-/// Generalized conversation detection (extension): strongly connected
-/// components of the *directed* mention graph. The paper's mutual filter
-/// keeps 2-cycles; an SCC keeps any closed mention loop (A -> B -> C -> A
-/// is a three-way conversation the mutual filter misses). Returns the
-/// nontrivial clusters (size >= min_size), largest first, with orig_ids
-/// indexing the MentionGraph.
-std::vector<graphct::Subgraph> scc_conversations(const MentionGraph& mg,
-                                                 std::int64_t min_size = 2);
-
 /// One row of a Table IV-style ranking.
 struct RankedUser {
   vid vertex = graphct::kNoVertex;  ///< vertex id in the mention graph
@@ -71,13 +62,6 @@ struct RankedUser {
 /// centrality; returns the top `count` users, score descending with
 /// deterministic tie-breaks.
 std::vector<RankedUser> rank_users_by_betweenness(
-    const MentionGraph& mg, std::int64_t count,
-    const graphct::BetweennessOptions& opts = {});
-
-/// Directed-flow variant (the paper's §I-A future-work model): shortest
-/// paths follow mention direction, so scores measure brokerage along the
-/// author -> mentionee information flow rather than mere association.
-std::vector<RankedUser> rank_users_by_directed_betweenness(
     const MentionGraph& mg, std::int64_t count,
     const graphct::BetweennessOptions& opts = {});
 

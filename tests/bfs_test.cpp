@@ -6,6 +6,7 @@
 
 #include "gen/random_graphs.hpp"
 #include "gen/shapes.hpp"
+#include "obs/trace.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -325,6 +326,28 @@ TEST(BcForwardSweepTest, LayoutSweepDiscoversTheCoreOnly) {
   }
 }
 
+TEST(BfsTest, DirectionOptimizingGoesBottomUpFromAStarHub) {
+  // From the hub of star_graph(50) the first frontier carries 49 of the 98
+  // adjacency entries, more than the unexplored 49/14, so the built-in
+  // thresholds switch the search bottom-up at depth 1.
+  const auto g = star_graph(50);
+  BfsOptions o;
+  o.strategy = BfsStrategy::kDirectionOptimizing;
+  obs::clear_profiles();
+  obs::set_profiling_enabled(true);
+  const auto r = bfs(g, 0, o);
+  obs::set_profiling_enabled(false);
+  const auto profiles = obs::drain_profiles();
+  EXPECT_EQ(r.distance, reference_bfs_distances(g, 0));
+  ASSERT_EQ(profiles.size(), 1u);
+  EXPECT_EQ(profiles[0].kernel, "bfs");
+  std::int64_t bottom_up_calls = 0;
+  for (const auto& phase : profiles[0].phases) {
+    if (phase.name == "bfs.bottom_up") bottom_up_calls += phase.calls;
+  }
+  EXPECT_GE(bottom_up_calls, 1);
+}
+
 // Property sweep: top-down and direction-optimizing must both match the
 // serial reference on random graphs of assorted shapes.
 class BfsPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -345,13 +368,6 @@ TEST_P(BfsPropertyTest, MatchesReferenceDistances) {
   dopt.strategy = BfsStrategy::kDirectionOptimizing;
   const auto du = bfs(g, src, dopt);
   EXPECT_EQ(du.distance, expect);
-
-  // Aggressive switching thresholds force bottom-up sweeps even on small
-  // graphs, exercising both directions.
-  dopt.alpha = 1.0;
-  dopt.beta = 1e9;
-  const auto forced = bfs(g, src, dopt);
-  EXPECT_EQ(forced.distance, expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, BfsPropertyTest,

@@ -100,16 +100,6 @@ TEST(ClosenessTest, SameBitsAtEveryThreadCount) {
   }
 }
 
-TEST(ClosenessTest, NoRescaleKeepsRawSums) {
-  const auto g = star_graph(10);
-  ClosenessOptions o;
-  o.num_sources = 3;
-  o.rescale = false;
-  const auto r = closeness_centrality(g, o);
-  // Raw harmonic sums over 3 pivots can't exceed 3.
-  for (double s : r.score) EXPECT_LE(s, 3.0 + 1e-12);
-}
-
 TEST(ClosenessTest, DirectedThrows) {
   const auto g = make_directed(3, {{0, 1}});
   EXPECT_THROW(closeness_centrality(g), Error);

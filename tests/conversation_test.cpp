@@ -144,48 +144,6 @@ TEST(SubcommunityTest, TwoConversationClustersLwccPicksLarger) {
   EXPECT_EQ(r.mutual_lwcc_edges, 3);
 }
 
-TEST(SccConversationsTest, FindsThreeWayLoopTheMutualFilterMisses) {
-  // A -> B -> C -> A is a conversation ring with no reciprocated pair.
-  const auto mg = build({
-      tw(1, "a", "@b right?"),
-      tw(2, "b", "@c agree?"),
-      tw(3, "c", "@a yes!"),
-      tw(4, "fan", "@hub news"),
-  });
-  const auto mutual = subcommunity_filter(mg);
-  EXPECT_EQ(mutual.mutual_vertices, 0);  // mutual filter finds nothing
-  const auto sccs = scc_conversations(mg);
-  ASSERT_EQ(sccs.size(), 1u);
-  EXPECT_EQ(sccs[0].graph.num_vertices(), 3);
-  std::set<std::string> names;
-  for (vid v : sccs[0].orig_ids) {
-    names.insert(mg.users[static_cast<std::size_t>(v)]);
-  }
-  EXPECT_EQ(names, (std::set<std::string>{"a", "b", "c"}));
-}
-
-TEST(SccConversationsTest, SupersetOfMutualPairs) {
-  const auto mg = build({tw(1, "a", "@b"), tw(2, "b", "@a"),
-                         tw(3, "x", "@y"), tw(4, "y", "@x")});
-  const auto sccs = scc_conversations(mg);
-  EXPECT_EQ(sccs.size(), 2u);
-  for (const auto& s : sccs) EXPECT_EQ(s.graph.num_vertices(), 2);
-}
-
-TEST(SccConversationsTest, SortsLargestFirstAndRespectsMinSize) {
-  const auto mg = build({
-      tw(1, "a", "@b"), tw(2, "b", "@c"), tw(3, "c", "@d"), tw(4, "d", "@a"),
-      tw(5, "x", "@y"), tw(6, "y", "@x"),
-      tw(7, "solo", "@hub"),
-  });
-  const auto sccs = scc_conversations(mg, 2);
-  ASSERT_EQ(sccs.size(), 2u);
-  EXPECT_EQ(sccs[0].graph.num_vertices(), 4);
-  EXPECT_EQ(sccs[1].graph.num_vertices(), 2);
-  const auto big_only = scc_conversations(mg, 3);
-  EXPECT_EQ(big_only.size(), 1u);
-}
-
 TEST(RankUsersTest, HubDominatesBroadcastGraph) {
   const auto mg = broadcast_with_conversation();
   const auto ranked = rank_users_by_betweenness(mg, 3);

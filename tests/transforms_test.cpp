@@ -266,46 +266,6 @@ TEST(DropIsolatedTest, DirectedInOnlyVerticesSurvive) {
   EXPECT_EQ(sub.orig_ids, (std::vector<vid>{0, 2}));
 }
 
-TEST(RelabelByDegreeTest, HubGetsIdZero) {
-  const auto g = make_undirected(5, {{2, 0}, {2, 1}, {2, 3}, {2, 4}, {0, 1}});
-  const auto r = relabel_by_degree(g);
-  EXPECT_EQ(r.orig_ids[0], 2);  // the hub
-  EXPECT_EQ(r.graph.degree(0), 4);
-  // Degrees are nonincreasing along the new ids.
-  for (vid v = 1; v < r.graph.num_vertices(); ++v) {
-    EXPECT_LE(r.graph.degree(v), r.graph.degree(v - 1));
-  }
-}
-
-TEST(RelabelByDegreeTest, PreservesStructure) {
-  Rng rng(777);
-  EdgeList el(40);
-  for (int i = 0; i < 150; ++i) {
-    el.add(static_cast<vid>(rng.next_below(40)),
-           static_cast<vid>(rng.next_below(40)));
-  }
-  const auto g = build_csr(el);
-  const auto r = relabel_by_degree(g);
-  ASSERT_EQ(r.graph.num_vertices(), g.num_vertices());
-  EXPECT_EQ(r.graph.num_edges(), g.num_edges());
-  // Every relabeled edge maps to an original edge and vice versa.
-  for (vid u = 0; u < r.graph.num_vertices(); ++u) {
-    for (vid v : r.graph.neighbors(u)) {
-      EXPECT_TRUE(g.has_edge(r.orig_ids[static_cast<std::size_t>(u)],
-                             r.orig_ids[static_cast<std::size_t>(v)]));
-    }
-  }
-}
-
-TEST(RelabelByDegreeTest, DirectedKeepsArcDirection) {
-  const auto g = make_directed(3, {{0, 1}, {0, 2}});
-  const auto r = relabel_by_degree(g);
-  EXPECT_TRUE(r.graph.directed());
-  EXPECT_EQ(r.orig_ids[0], 0);  // out-degree 2 hub first
-  EXPECT_TRUE(r.graph.has_edge(0, 1));
-  EXPECT_FALSE(r.graph.has_edge(1, 0));
-}
-
 // Property: induced subgraph on a random mask never contains an edge whose
 // endpoint was masked out, and degrees never exceed the originals.
 class InducedSubgraphProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -10,7 +10,6 @@
 ///   graphct components <graph> [--workers N] [--out labels.txt]
 ///   graphct pagerank <graph> [--workers N] [--out scores.txt]
 ///   graphct partition <graph> <N>            # 1-D block partition report
-///   graphct worker [--port P]                # serve one dist worker
 ///   graphct convert <in> <out>               # formats by extension
 ///   graphct generate rmat <scale> <edge factor> <out>
 ///   graphct script <file.gct>                # run an analyst script
@@ -45,7 +44,6 @@
 #include "dist/coordinator.hpp"
 #include "dist/local_worker_set.hpp"
 #include "dist/partition.hpp"
-#include "dist/worker.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/io_binary.hpp"
@@ -123,8 +121,6 @@ int usage() {
          "  pagerank <graph> [--workers N] [--out f]\n"
          "                                       PageRank scores\n"
          "  partition <graph> <N>                1-D block partition report\n"
-         "  worker [--port P] [--threads K] [--fail-after K]\n"
-         "                                       serve one dist worker\n"
          "  convert <in> <out>                   convert between formats\n"
          "  pack <in> <out.gctp> [--codec none|varint] [--block-kb N]\n"
          "                                       write block-compressed CSR\n"
@@ -533,18 +529,10 @@ int cmd_partition(const Cli& cli) {
   return 0;
 }
 
-int cmd_worker(const Cli& cli) {
-  dist::WorkerOptions opts;
-  opts.port = static_cast<int>(cli.get_in_range("port", 0, 0, 65535));
-  opts.threads = static_cast<int>(
-      cli.get_in_range("threads", 1, 1, graphct::kMaxThreads));
-  opts.fail_after = cli.get("fail-after", std::int64_t{-1});
-  dist::WorkerServer server(opts);
-  std::cout << "graphct worker listening on 127.0.0.1:" << server.port()
-            << "\n"
-            << std::flush;
-  server.serve();
-  return 0;
+/// --threads in either position: the whole value must be an integer in
+/// [0, kMaxThreads].
+void set_threads_flag(const std::string& value) {
+  set_num_threads(parse_int_in_range("--threads", value, 0, kMaxThreads));
 }
 
 }  // namespace
@@ -553,22 +541,14 @@ int main(int argc, char** argv) {
   try {
     // Accept --threads both before the command (`graphct --threads 4 bc g`)
     // and after it; the leading form is consumed here.
-    const auto parse_threads = [](const std::string& value) {
-      try {
-        return std::stoll(value);
-      } catch (const std::exception&) {
-        throw graphct::Error("--threads: expected a number, got '" + value +
-                             "'");
-      }
-    };
     int argi = 1;
     while (argi < argc) {
       const std::string arg = argv[argi];
       if (arg == "--threads" && argi + 1 < argc) {
-        graphct::set_num_threads(parse_threads(argv[argi + 1]));
+        set_threads_flag(argv[argi + 1]);
         argi += 2;
       } else if (arg.rfind("--threads=", 0) == 0) {
-        graphct::set_num_threads(parse_threads(arg.substr(10)));
+        set_threads_flag(arg.substr(10));
         argi += 1;
       } else if (arg == "--profile") {
         graphct::obs::set_profiling_enabled(true);
@@ -590,8 +570,6 @@ int main(int argc, char** argv) {
              {"threads", "OpenMP thread count (0 = default)"},
              {"profile", "per-kernel phase profiling!"},
              {"workers", "server worker threads / dist worker processes"},
-             {"port", "worker: listen port (0 = ephemeral)"},
-             {"fail-after", "worker: close connection after K messages"},
              {"stdio", "serve one session over stdin/stdout!"},
              {"max-conns", "server: concurrent connection cap"},
              {"max-queued", "server: global queued-job cap"},
@@ -600,10 +578,7 @@ int main(int argc, char** argv) {
              {"read-timeout", "server: stalled partial-line timeout (s)"},
              {"idle-timeout", "server: idle-connection timeout (s)"},
              {"drain-timeout", "server: stop-time drain window (s)"}});
-    if (cli.has("threads")) {
-      graphct::set_num_threads(
-          cli.get_in_range("threads", 0, 0, graphct::kMaxThreads));
-    }
+    if (cli.has("threads")) set_threads_flag(cli.get("threads", std::string()));
     if (cli.has("profile")) graphct::obs::set_profiling_enabled(true);
 
     // Print profiles collected on this thread once the command returns.
@@ -631,7 +606,6 @@ int main(int argc, char** argv) {
     if (command == "components") return finish(cmd_components(cli));
     if (command == "pagerank") return finish(cmd_pagerank(cli));
     if (command == "partition") return finish(cmd_partition(cli));
-    if (command == "worker") return cmd_worker(cli);
     if (command == "pack") return finish(cmd_pack(cli));
     if (command == "convert") {
       GCT_CHECK(cli.positional().size() >= 2, "convert: need <in> <out>");
